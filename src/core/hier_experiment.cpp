@@ -11,14 +11,11 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/costs.hpp"
-#include "cluster/hydra.hpp"
-#include "cluster/vmstat.hpp"
+#include "core/harness.hpp"
 #include "core/hier_experiment.hpp"
-#include "core/payloads.hpp"
 #include "hier/aggregator.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
@@ -44,7 +41,6 @@ const char* to_string(HierBackend backend) {
 
 namespace {
 
-constexpr SimTime kStartTime = units::seconds(1);
 constexpr SimTime kDrainTime = units::seconds(60);
 constexpr const char* kTopic = "powergrid/monitoring";
 constexpr const char* kTable = "generators";
@@ -55,49 +51,35 @@ constexpr int kRootHost = 1;
 /// An upstream frame awaiting its root delivery. before_sending is the
 /// frame's oldest collected sample's send time, so the recorded RTT is the
 /// worst-case staleness the frame imposed on any sample it carries.
-struct FrameRecord {
-  SimTime before_sending;
-  SimTime after_sending;
+struct FrameRecord : SentRecord {
   hier::UpstreamFrame frame;
 };
 
-[[nodiscard]] std::int64_t row_key(std::int64_t id, std::int64_t seq) {
-  return id * 1'000'000'000 + seq;
-}
-
 /// Shared run state the regionals and the root both touch.
 struct HierRun {
-  cluster::Hydra& hydra;
+  Harness& harness;
   const HierConfig& config;
   hier::TreeConfig tree;
-  Metrics& metrics;
-  obs::HistogramSeries* rtt_series = nullptr;
   /// Frames in flight, keyed by backend message id (Narada/MQTT) or by
-  /// row_key (R-GMA). Only one map is populated per run.
-  std::unordered_map<std::string, FrameRecord> in_flight;
-  std::unordered_map<std::int64_t, FrameRecord> rgma_in_flight;
+  /// row_key (R-GMA). Only one is populated per run.
+  InFlight<std::string, FrameRecord> in_flight;
+  InFlight<std::int64_t, FrameRecord> rgma_in_flight;
   /// Interned topic/name storage shared by the regional tier (the
   /// flyweight satellite: one arena instead of per-node strings).
   util::StringTable names;
   std::uint64_t frames_published = 0;
   std::uint64_t frames_delivered = 0;
 
-  HierRun(cluster::Hydra& h, const HierConfig& c, Metrics& m)
-      : hydra(h), config(c), metrics(m) {}
+  HierRun(Harness& h, const HierConfig& c)
+      : harness(h), config(c), in_flight(h), rgma_in_flight(h) {}
 };
 
-/// Root-side accounting for one delivered frame. record() covers the
-/// oldest sample (keeping the RTT distribution honest about staleness);
-/// the remaining samples are recomputed from the flyweight state so the
-/// received/late counters stay per-sample.
-void account_delivery(HierRun& run, const FrameRecord& record,
-                      SimTime arrived_at) {
-  const SimTime now = run.hydra.sim().now();
-  run.metrics.record(record.before_sending, record.after_sending, arrived_at,
-                     now);
-  if (run.rtt_series != nullptr) {
-    run.rtt_series->record(units::to_millis(now - record.before_sending));
-  }
+/// Root-side accounting for one delivered frame. The harness has recorded
+/// the oldest sample (keeping the RTT distribution honest about
+/// staleness); the remaining samples are recomputed from the flyweight
+/// state so the received/late counters stay per-sample.
+void account_samples(HierRun& run, const FrameRecord& record) {
+  const SimTime now = run.harness.sim().now();
   constexpr SimTime kDeadline = units::seconds(5);
   std::int64_t collected = 0;
   std::uint64_t late = 0;
@@ -110,13 +92,24 @@ void account_delivery(HierRun& run, const FrameRecord& record,
           if (now - send > kDeadline) ++late;
         });
   }
+  Metrics& metrics = run.harness.metrics();
   if (collected > 0) {
-    run.metrics.count_received(static_cast<std::uint64_t>(collected - 1));
+    metrics.count_received(static_cast<std::uint64_t>(collected - 1));
   }
   const std::uint64_t oldest_late =
       now - record.before_sending > kDeadline ? 1 : 0;
-  if (late > oldest_late) run.metrics.count_delivered_late(late - oldest_late);
+  if (late > oldest_late) metrics.count_delivered_late(late - oldest_late);
   ++run.frames_delivered;
+}
+
+/// Root-side delivery of the frame under `key`.
+template <typename Key>
+void deliver_frame(HierRun& run, InFlight<Key, FrameRecord>& in_flight,
+                   const Key& key, SimTime arrived_at) {
+  in_flight.deliver(key, arrived_at, /*stage=*/nullptr,
+                    [&run](const FrameRecord& record) {
+                      account_samples(run, record);
+                    });
 }
 
 /// One regional publisher: owns this subtree's EdgeAggregators, a
@@ -131,7 +124,7 @@ class Regional {
       : run_(run),
         id_(id),
         host_(host),
-        rng_(run.hydra.sim().rng_stream("hier.regional").stream(
+        rng_(run.harness.sim().rng_stream("hier.regional").stream(
             static_cast<std::uint64_t>(id))),
         aggregator_(run.tree, id,
                     [this](hier::UpstreamFrame frame) {
@@ -173,7 +166,7 @@ class Regional {
   void start() {
     auto on_ready = [this](bool ok) {
       if (!ok) {
-        run_.metrics.count_refused_connection(static_cast<std::uint64_t>(
+        run_.harness.refuse(static_cast<std::uint64_t>(
             run_.tree.shape.generators_under(id_)));
         return;
       }
@@ -191,12 +184,12 @@ class Regional {
  private:
   void start_tree() {
     for (std::size_t i = 0; i < edges_.size(); ++i) {
-      run_.hydra.sim().schedule_at(edges_[i].close_time(0),
+      run_.harness.sim().schedule_at(edges_[i].close_time(0),
                                    [this, i] { run_edge(i); });
     }
     const SimTime first = run_.tree.epoch + run_.config.topology.regional.window +
                           aggregator_.flush_offset();
-    flush_timer_ = sim::PeriodicTimer(run_.hydra.sim(), first,
+    flush_timer_ = sim::PeriodicTimer(run_.harness.sim(), first,
                                       run_.config.topology.regional.window,
                                       [this] { aggregator_.flush(); });
   }
@@ -206,11 +199,11 @@ class Regional {
     std::int64_t generated = 0;
     hier::EdgeFrame frame = edges_[i].close_window(window, generated);
     if (generated > 0) {
-      run_.metrics.count_sent(static_cast<std::uint64_t>(generated));
+      run_.harness.metrics().count_sent(static_cast<std::uint64_t>(generated));
     }
     if (frame.collected > 0) aggregator_.deliver(std::move(frame));
     if (next_window_[i] < run_.tree.windows) {
-      run_.hydra.sim().schedule_at(edges_[i].close_time(next_window_[i]),
+      run_.harness.sim().schedule_at(edges_[i].close_time(next_window_[i]),
                                    [this, i] { run_edge(i); });
     }
   }
@@ -231,27 +224,19 @@ class Regional {
       const std::string key = "ID:" + std::to_string(narada_->local().node) +
                               "-" + std::to_string(narada_->local().port) +
                               "-" + std::to_string(sequence_);
-      run_.in_flight.emplace(key,
-                             FrameRecord{frame.oldest_send, frame.oldest_send,
-                                         std::move(frame)});
+      run_.in_flight.add(key, record(std::move(frame)));
       narada_->publish(std::move(msg), [this, key](SimTime after) {
-        const auto it = run_.in_flight.find(key);
-        if (it != run_.in_flight.end()) it->second.after_sending = after;
+        run_.in_flight.sent(key, after);
       });
     } else if (mqtt_) {
       const std::string key =
           "hier-" + std::to_string(id_) + "-" + std::to_string(sequence_++);
       const std::string topic{run_.names.view(topic_)};
       const std::int64_t payload = frame.bytes;
-      run_.in_flight.emplace(key,
-                             FrameRecord{frame.oldest_send, frame.oldest_send,
-                                         std::move(frame)});
+      run_.in_flight.add(key, record(std::move(frame)));
       mqtt_->publish(topic, payload, /*qos=*/0, /*retain=*/false, key,
                      [this, key](SimTime after) {
-                       const auto it = run_.in_flight.find(key);
-                       if (it != run_.in_flight.end()) {
-                         it->second.after_sending = after;
-                       }
+                       run_.in_flight.sent(key, after);
                      });
     } else {
       // R-GMA rows are fixed-size (the paper's 16-column schema), so the
@@ -260,19 +245,20 @@ class Regional {
       const std::int64_t seq = sequence_++;
       const std::int64_t key = row_key(id_, seq);
       auto row = make_generator_row(id_, seq, frame.oldest_send, rng_);
-      run_.rgma_in_flight.emplace(
-          key, FrameRecord{frame.oldest_send, frame.oldest_send,
-                           std::move(frame)});
+      run_.rgma_in_flight.add(key, record(std::move(frame)));
       producer_->insert(std::move(row), [this, key](bool ok, SimTime after) {
-        const auto it = run_.rgma_in_flight.find(key);
-        if (it == run_.rgma_in_flight.end()) return;
         if (ok) {
-          it->second.after_sending = after;
+          run_.rgma_in_flight.sent(key, after);
         } else {
-          run_.rgma_in_flight.erase(it);
+          run_.rgma_in_flight.fail(key);
         }
       });
     }
+  }
+
+  [[nodiscard]] static FrameRecord record(hier::UpstreamFrame frame) {
+    const SimTime oldest = frame.oldest_send;
+    return FrameRecord{{oldest, oldest}, std::move(frame)};
   }
 
   HierRun& run_;
@@ -290,53 +276,6 @@ class Regional {
   std::int64_t sequence_ = 0;
 };
 
-/// R-GMA root: a Consumer polled every 100 ms, like the flat subscriber.
-class RgmaRoot {
- public:
-  RgmaRoot(HierRun& run, net::HttpClient& http, net::Endpoint service)
-      : run_(run),
-        consumer_(run.hydra.host(kRootHost), http, service, 800000,
-                  std::string("SELECT * FROM ") + kTable +
-                      " WHERE id < 1000000") {}
-
-  void start() {
-    consumer_.create([this](bool ok) {
-      if (!ok) return;
-      const SimTime period = units::milliseconds(100);
-      timer_ = sim::PeriodicTimer(run_.hydra.sim(),
-                                  run_.hydra.sim().now() + period, period,
-                                  [this] { poll(); });
-    });
-  }
-
- private:
-  void poll() {
-    if (polling_) return;
-    polling_ = true;
-    consumer_.poll([this](std::vector<rgma::Tuple> tuples,
-                          SimTime before_receiving) {
-      polling_ = false;
-      for (const auto& tuple : tuples) {
-        if (tuple.values.size() <= kRowSeqColumn) continue;
-        const auto* id =
-            std::get_if<std::int64_t>(&tuple.values[kRowIdColumn]);
-        const auto* seq =
-            std::get_if<std::int64_t>(&tuple.values[kRowSeqColumn]);
-        if (id == nullptr || seq == nullptr) continue;
-        const auto it = run_.rgma_in_flight.find(row_key(*id, *seq));
-        if (it == run_.rgma_in_flight.end()) continue;
-        account_delivery(run_, it->second, before_receiving);
-        run_.rgma_in_flight.erase(it);
-      }
-    });
-  }
-
-  HierRun& run_;
-  rgma::Consumer consumer_;
-  sim::PeriodicTimer timer_;
-  bool polling_ = false;
-};
-
 }  // namespace
 
 Results run_hier_experiment(const HierConfig& config) {
@@ -347,44 +286,27 @@ Results run_hier_experiment(const HierConfig& config) {
   if (config.server_memory_budget > 0) {
     hydra_config.host.memory_budget = config.server_memory_budget;
   }
-  cluster::Hydra hydra(hydra_config);
+  Harness harness(hydra_config, config.topology.generators);
+  cluster::Hydra& hydra = harness.hydra();
 
-  Results results;
-  results.metrics.set_deadline(units::seconds(5));
-  results.generators = config.topology.generators;
-  HierRun run(hydra, config, results.metrics);
+  HierRun run(harness, config);
   run.tree.spec = config.topology;
   run.tree.shape = shape;
-  run.tree.epoch = kStartTime + config.creation_interval * shape.regionals +
+  run.tree.epoch = Harness::kStartTime +
+                   config.creation_interval * shape.regionals +
                    units::seconds(1);
   run.tree.windows = config.duration / config.topology.edge.window;
   if (run.tree.windows < 1) run.tree.windows = 1;
 
   // Observability first so the flyweight allocations below are accounted.
-  std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::MemProfile> memprof;
-  if (obs::kEnabled && config.obs.enabled) {
-    recorder = std::make_unique<obs::Recorder>(hydra.sim(), config.obs);
-    auto& timeline = recorder->timeline();
-    timeline.gauge("sent");
-    timeline.gauge("received");
-    run.rtt_series = &timeline.histogram("rtt_ms");
-    timeline.gauge("kernel_events");
-    timeline.gauge("kernel_queue_depth");
-    timeline.gauge("lan_in_flight");
-    timeline.gauge("lan_dropped");
-    timeline.gauge("frames_published");
-    timeline.gauge("frames_delivered");
-    if (config.obs.memprof) {
-      memprof = std::make_unique<obs::MemProfile>();
-      timeline.gauge("mem_hier");
-      timeline.gauge("mem_net_connections");
-      timeline.gauge("mem_kernel_slab");
-      timeline.gauge("mem_total");
-    }
-  }
-  obs::ScopedRecorder scoped(recorder.get());
-  obs::ScopedMemProfile scoped_mem(memprof.get());
+  Columns columns;
+  columns.counters = {
+      {"frames_published", [&run] { return run.frames_published; }},
+      {"frames_delivered", [&run] { return run.frames_delivered; }},
+  };
+  columns.mem = {obs::MemCategory::kHier, obs::MemCategory::kNetConnections,
+                 obs::MemCategory::kKernelSlab};
+  harness.observe(config.obs, std::move(columns));
 
   // The flyweight fleet: 8 bytes per generator, shared by every edge.
   hier::FleetState fleet(config.topology, config.seed);
@@ -420,7 +342,7 @@ Results run_hier_experiment(const HierConfig& config) {
   std::shared_ptr<narada::NaradaClient> narada_root;
   std::shared_ptr<mqtt::MqttClient> mqtt_root;
   std::unique_ptr<net::HttpClient> rgma_root_http;
-  std::unique_ptr<RgmaRoot> rgma_root;
+  std::unique_ptr<RowPoller> rgma_root;
   if (config.backend == HierBackend::kNarada) {
     narada_root = narada::NaradaClient::create(
         hydra.host(kRootHost), hydra.lan(), hydra.streams(),
@@ -431,10 +353,8 @@ Results run_hier_experiment(const HierConfig& config) {
       narada_root->subscribe(
           kTopic, "id<1000000", jms::AcknowledgeMode::kAutoAcknowledge,
           [&run](const jms::MessagePtr& message, SimTime arrived_at) {
-            const auto it = run.in_flight.find(message->message_id);
-            if (it == run.in_flight.end()) return;
-            account_delivery(run, it->second, arrived_at);
-            run.in_flight.erase(it);
+            deliver_frame(run, run.in_flight, message->message_id,
+                          arrived_at);
           });
     });
   } else if (config.backend == HierBackend::kMqtt) {
@@ -448,18 +368,22 @@ Results run_hier_experiment(const HierConfig& config) {
       mqtt_root->subscribe(
           "powergrid/#", 0,
           [&run](const mqtt::PacketPtr& packet, SimTime arrived_at) {
-            const auto it = run.in_flight.find(packet->message_id);
-            if (it == run.in_flight.end()) return;
-            account_delivery(run, it->second, arrived_at);
-            run.in_flight.erase(it);
+            deliver_frame(run, run.in_flight, packet->message_id, arrived_at);
           });
     });
   } else {
+    // A Consumer polled every 100 ms, like the flat subscriber.
     rgma_root_http = std::make_unique<net::HttpClient>(
         hydra.streams(), net::Endpoint{kRootHost, 21000});
-    rgma_root = std::make_unique<RgmaRoot>(
-        run, *rgma_root_http, rgma_network->assign_consumer_service());
-    hydra.sim().schedule_at(kStartTime / 2,
+    rgma_root = std::make_unique<RowPoller>(
+        hydra.host(kRootHost), *rgma_root_http,
+        rgma_network->assign_consumer_service(), 800000,
+        std::string("SELECT * FROM ") + kTable + " WHERE id < 1000000",
+        units::milliseconds(100),
+        [&run](std::int64_t row, SimTime received, bool) {
+          deliver_frame(run, run.rgma_in_flight, row, received);
+        });
+    hydra.sim().schedule_at(Harness::kStartTime / 2,
                             [root = rgma_root.get()] { root->start(); });
   }
 
@@ -496,82 +420,17 @@ Results run_hier_experiment(const HierConfig& config) {
                             rgma_network->assign_producer_service());
     }
     regionals.push_back(std::move(regional));
-    hydra.sim().schedule_at(kStartTime + config.creation_interval * r,
-                            [reg = regionals.back().get()] { reg->start(); });
+    hydra.sim().schedule_at(
+        Harness::kStartTime + config.creation_interval * r,
+        [reg = regionals.back().get()] { reg->start(); });
   }
   obs::mem_add(obs::MemCategory::kHier, run.names.bytes());
 
-  const SimTime steady_begin = run.tree.epoch;
-  const SimTime measure_end = steady_begin + config.duration;
-
-  if (recorder) {
-    recorder->set_sampler([&results, &run, &hydra, prof = memprof.get()](
-                              obs::Timeline& timeline) {
-      timeline.gauge("sent").set(static_cast<double>(results.metrics.sent()));
-      timeline.gauge("received").set(
-          static_cast<double>(results.metrics.received()));
-      timeline.gauge("kernel_events").set(
-          static_cast<double>(hydra.sim().kernel_stats().events_executed));
-      timeline.gauge("kernel_queue_depth").set(
-          static_cast<double>(hydra.sim().queue_size()));
-      timeline.gauge("lan_in_flight").set(
-          static_cast<double>(hydra.lan().datagrams_in_flight()));
-      timeline.gauge("lan_dropped").set(
-          static_cast<double>(hydra.lan().datagrams_dropped()));
-      timeline.gauge("frames_published")
-          .set(static_cast<double>(run.frames_published));
-      timeline.gauge("frames_delivered")
-          .set(static_cast<double>(run.frames_delivered));
-      if (prof != nullptr) {
-        prof->set(obs::MemCategory::kKernelSlab,
-                  static_cast<std::int64_t>(
-                      hydra.sim().kernel_stats().slab_bytes));
-        timeline.gauge("mem_hier").set(
-            static_cast<double>(prof->live(obs::MemCategory::kHier)));
-        timeline.gauge("mem_net_connections")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kNetConnections)));
-        timeline.gauge("mem_kernel_slab")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kKernelSlab)));
-        timeline.gauge("mem_total")
-            .set(static_cast<double>(prof->live_total()));
-      }
-    });
-    recorder->arm(kStartTime);
-  }
-
-  // vmstat on the server host: memory over the whole run, CPU idle over
-  // the steady publishing window.
-  cluster::VmstatSampler mem_sampler(hydra.host(kServerHost));
-  cluster::VmstatSampler cpu_sampler(hydra.host(kServerHost));
-  hydra.sim().schedule_at(kStartTime, [&mem_sampler] { mem_sampler.start(); });
-  hydra.sim().schedule_at(steady_begin,
-                          [&cpu_sampler] { cpu_sampler.start(); });
-  hydra.sim().schedule_at(measure_end, [&mem_sampler, &cpu_sampler] {
-    mem_sampler.stop();
-    cpu_sampler.stop();
-  });
-
-  const SimTime horizon = measure_end + kDrainTime;
-  hydra.sim().run_until(horizon);
-
-  results.servers.cpu_idle_pct = cpu_sampler.mean_cpu_idle();
-  results.servers.memory_bytes = mem_sampler.memory_consumption();
-  results.events_forwarded =
-      dbn ? dbn->total_stats().events_forwarded : 0;
-  results.wire_bytes = hydra.lan().bytes_to_node(kServerHost);
-  results.refused = results.metrics.refused_connections();
-  results.refused_in_faults = 0;  // hier scenarios run fault-free
-  results.completed = !results.hit_oom_wall();
-  results.kernel = hydra.sim().kernel_stats();
-  if (memprof) {
-    memprof->set(obs::MemCategory::kKernelSlab,
-                 static_cast<std::int64_t>(results.kernel.slab_bytes));
-    results.mem = memprof->summary();
-  }
-  results.availability.delivered_late = results.metrics.delivered_late();
-  if (recorder) results.obs = recorder->finish(horizon);
+  // hier scenarios carry no fault plan: the injector arms nothing and the
+  // availability columns stay zero.
+  Results results = harness.run({}, {}, {kServerHost},
+                                {run.tree.epoch, config.duration, kDrainTime});
+  results.events_forwarded = dbn ? dbn->total_stats().events_forwarded : 0;
   return results;
 }
 

@@ -2,36 +2,35 @@
 //
 // One MqttBroker on a Hydra host, a fleet of generator clients publishing
 // sensor samples at QoS 0/1/2, and a single monitoring subscriber holding a
-// 'powergrid/#' wildcard subscription. The harness shape (stagger, warm-up,
-// steady window, fault hooks, obs stages, availability accounting) is
-// deliberately identical to run_narada_experiment so the three backends
-// produce comparable Results bundles.
+// 'powergrid/#' wildcard subscription. The stagger, warm-up, steady window,
+// fault hooks, obs columns and availability accounting come from the shared
+// Harness, so the three backends produce comparable Results bundles.
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "cluster/costs.hpp"
-#include "cluster/hydra.hpp"
-#include "cluster/vmstat.hpp"
-#include "core/experiment.hpp"
+#include "core/harness.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
 
 namespace gridmon::core {
 namespace {
 
-constexpr SimTime kStartTime = units::seconds(1);
 constexpr SimTime kDrainTime = units::seconds(60);
 constexpr std::uint16_t kBrokerPort = 1883;
 
-struct SentRecord {
-  SimTime before_sending;
-  SimTime after_sending;
-};
-
 [[nodiscard]] int publisher_qos(const MqttConfig& config, std::int64_t id) {
   return config.mixed_qos ? static_cast<int>(id % 3) : config.qos;
+}
+
+[[nodiscard]] mqtt::ReconnectPolicy reconnect_policy(const FleetConfig& fleet) {
+  mqtt::ReconnectPolicy policy;
+  policy.enabled = fleet.recovery;
+  policy.backoff_initial = fleet.backoff_initial;
+  policy.backoff_max = fleet.backoff_max;
+  policy.jitter = fleet.backoff_jitter;
+  return policy;
 }
 
 /// One simulated generator (or edge gateway when gateway_batch > 1): owns
@@ -42,19 +41,16 @@ struct SentRecord {
 /// period — same sensor coverage, 1/batch the packet count.
 class MqttGenerator {
  public:
-  MqttGenerator(cluster::Hydra& hydra, int host, net::Endpoint broker,
-                const MqttConfig& config, std::int64_t id, Metrics& metrics,
-                std::uint64_t& refused_in_faults, const FaultInjector*& injector,
-                std::unordered_map<std::string, SentRecord>& in_flight)
-      : hydra_(hydra),
+  MqttGenerator(Harness& harness, InFlight<std::string>& in_flight, int host,
+                net::Endpoint broker, const MqttConfig& config,
+                std::int64_t id)
+      : harness_(harness),
+        in_flight_(in_flight),
         config_(config),
         id_(id),
-        metrics_(metrics),
-        refused_in_faults_(refused_in_faults),
-        injector_(injector),
-        in_flight_(in_flight),
-        rng_(hydra.sim().rng_stream("generator").stream(
+        rng_(harness.sim().rng_stream("generator").stream(
             static_cast<std::uint64_t>(id))) {
+    cluster::Hydra& hydra = harness.hydra();
     const auto port = static_cast<std::uint16_t>(10000 + id % 50000);
     mqtt::MqttClientOptions options;
     options.client_id = "gen-" + std::to_string(id);
@@ -71,32 +67,18 @@ class MqttGenerator {
                                        net::Endpoint{host, port},
                                        std::move(options));
     if (config.fleet.recovery) {
-      mqtt::ReconnectPolicy policy;
-      policy.enabled = true;
-      policy.backoff_initial = config.fleet.backoff_initial;
-      policy.backoff_max = config.fleet.backoff_max;
-      policy.jitter = config.fleet.backoff_jitter;
-      client_->set_reconnect_policy(policy);
+      client_->set_reconnect_policy(reconnect_policy(config.fleet));
     }
   }
 
   void start() {
     client_->connect([this](bool ok) {
-      if (!ok) {
-        metrics_.count_refused_connection();
-        if (injector_ != nullptr &&
-            in_fault_window(injector_->windows(), hydra_.sim().now())) {
-          ++refused_in_faults_;
-        }
-        return;
-      }
-      const auto warmup = static_cast<SimTime>(rng_.uniform(
-          static_cast<double>(config_.fleet.warmup_min),
-          static_cast<double>(config_.fleet.warmup_max)));
-      remaining_ = config_.fleet.publish_period > 0
-                       ? config_.duration / config_.fleet.publish_period
-                       : 0;
-      hydra_.sim().schedule_after(warmup, [this] { publish_next(); });
+      if (!ok) return harness_.refuse();
+      const FleetConfig& fleet = config_.fleet;
+      loop_.start(harness_.sim(),
+                  Harness::uniform_time(rng_, fleet.warmup_min,
+                                        fleet.warmup_max),
+                  fleet, config_.duration, [this] { publish(); });
     });
   }
 
@@ -106,52 +88,39 @@ class MqttGenerator {
   [[nodiscard]] std::uint64_t resubscribes() const {
     return client_->resubscribes();
   }
-  [[nodiscard]] std::uint64_t retransmissions() const {
-    return client_->retransmissions();
-  }
 
  private:
-  void publish_next() {
-    if (remaining_ <= 0) return;
-    --remaining_;
+  void publish() {
     const std::int64_t payload =
         (cluster::costs::kMqttSampleBytes + config_.fleet.pad_bytes) *
         config_.gateway_batch;
     const std::string topic =
         "powergrid/feeder" + std::to_string(id_ % 16) + "/gen" +
         std::to_string(id_);
-    const SimTime before = hydra_.sim().now();
+    const SimTime before = harness_.sim().now();
     const std::string key = "ID:" + std::to_string(client_->local().node) +
                             "-" + std::to_string(client_->local().port) + "-" +
                             std::to_string(sequence_++);
     // Count at publish intent (see the Narada harness): a sample stuck in a
     // disconnected client is a loss and must be visible as one.
-    metrics_.count_sent();
-    in_flight_.emplace(key, SentRecord{before, before});
+    harness_.metrics().count_sent();
+    in_flight_.add(key, SentRecord{before, before});
     obs::mark_message(key, "pub");
     client_->publish(topic, payload, publisher_qos(config_, id_),
                      config_.retain_last, key, [this, key](SimTime after) {
-                       const auto it = in_flight_.find(key);
-                       if (it != in_flight_.end()) {
-                         it->second.after_sending = after;
-                       }
+                       in_flight_.sent(key, after);
                        obs::mark_message_at(key, "sent", after);
                      });
-    hydra_.sim().schedule_after(config_.fleet.publish_period,
-                                [this] { publish_next(); });
   }
 
-  cluster::Hydra& hydra_;
+  Harness& harness_;
+  InFlight<std::string>& in_flight_;
   const MqttConfig& config_;
   std::int64_t id_;
-  Metrics& metrics_;
-  std::uint64_t& refused_in_faults_;
-  const FaultInjector*& injector_;
-  std::unordered_map<std::string, SentRecord>& in_flight_;
   util::Rng rng_;
   std::shared_ptr<mqtt::MqttClient> client_;
+  PublishLoop loop_;
   std::int64_t sequence_ = 0;
-  std::int64_t remaining_ = 0;
 };
 
 }  // namespace
@@ -159,7 +128,8 @@ class MqttGenerator {
 Results run_mqtt_experiment(const MqttConfig& config) {
   cluster::HydraConfig hydra_config;
   hydra_config.seed = config.seed;
-  cluster::Hydra hydra(hydra_config);
+  Harness harness(hydra_config, config.fleet.generators);
+  cluster::Hydra& hydra = harness.hydra();
 
   // The broker: one host, one event loop, sessions admitted against heap.
   mqtt::MqttBrokerConfig broker_config;
@@ -178,50 +148,28 @@ Results run_mqtt_experiment(const MqttConfig& config) {
   const std::vector<int> generator_hosts(free_hosts.begin() + 1,
                                          free_hosts.end());
 
-  Results results;
-  results.metrics.set_deadline(units::seconds(5));
-  results.generators = config.fleet.generators;
-  std::unordered_map<std::string, SentRecord> in_flight;
-  std::uint64_t refused_in_faults = 0;
-  const FaultInjector* injector_ptr = nullptr;
-  AvailabilityTracker tracker;
-
-  std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::MemProfile> memprof;
-  obs::HistogramSeries* rtt_series = nullptr;
-  if (obs::kEnabled && config.obs.enabled) {
-    recorder = std::make_unique<obs::Recorder>(hydra.sim(), config.obs);
-    auto& timeline = recorder->timeline();
-    timeline.gauge("sent");
-    timeline.gauge("received");
-    rtt_series = &timeline.histogram("rtt_ms");
-    timeline.gauge("kernel_events");
-    timeline.gauge("kernel_queue_depth");
-    timeline.gauge("lan_in_flight");
-    timeline.gauge("lan_dropped");
-    timeline.gauge("broker_publishes_received");
-    timeline.gauge("broker_publishes_delivered");
-    timeline.gauge("broker_retransmissions");
-    if (config.obs.memprof) {
-      memprof = std::make_unique<obs::MemProfile>();
-      timeline.gauge("mem_broker_routing");
-      timeline.gauge("mem_client_records");
-      timeline.gauge("mem_net_connections");
-      timeline.gauge("mem_kernel_slab");
-      timeline.gauge("mem_sub_index");
-      timeline.gauge("mem_total");
-    }
-    if (config.replay.enabled) {
-      // Replication columns ride last, and only on replay runs, so the
-      // classic timeline shape is untouched.
-      timeline.gauge("backfill_msgs");
-      timeline.gauge("backfill_bytes");
-      timeline.gauge("queue_dropped");
-      if (config.obs.memprof) timeline.gauge("mem_history");
-    }
+  const auto& stats = broker.stats();
+  Columns columns;
+  columns.counters = {
+      {"broker_publishes_received", [&] { return stats.publishes_received; }},
+      {"broker_publishes_delivered",
+       [&] { return stats.publishes_delivered; }},
+      {"broker_retransmissions", [&] { return stats.retransmissions; }},
+  };
+  columns.mem = {obs::MemCategory::kBrokerRouting,
+                 obs::MemCategory::kClientRecords,
+                 obs::MemCategory::kNetConnections,
+                 obs::MemCategory::kKernelSlab,
+                 obs::MemCategory::kMqttSubIndex};
+  if (config.replay.enabled) {
+    columns.replay = {
+        {"backfill_msgs", [&] { return stats.backfill_msgs; }},
+        {"backfill_bytes", [&] { return stats.backfill_bytes; }},
+        {"queue_dropped", [&] { return stats.queue_dropped; }},
+    };
   }
-  obs::ScopedRecorder scoped(recorder.get());
-  obs::ScopedMemProfile scoped_mem(memprof.get());
+  harness.observe(config.obs, std::move(columns));
+  InFlight<std::string> in_flight(harness);
 
   // The monitoring subscriber: one wildcard subscription covers the whole
   // fleet ('powergrid/#' also matches will/status topics).
@@ -238,35 +186,17 @@ Results run_mqtt_experiment(const MqttConfig& config) {
       broker_config.endpoint, net::Endpoint{subscriber_host, 9000},
       std::move(sub_options));
   if (config.fleet.recovery) {
-    mqtt::ReconnectPolicy policy;
-    policy.enabled = true;
-    policy.backoff_initial = config.fleet.backoff_initial;
-    policy.backoff_max = config.fleet.backoff_max;
-    policy.jitter = config.fleet.backoff_jitter;
-    subscriber->set_reconnect_policy(policy);
+    subscriber->set_reconnect_policy(reconnect_policy(config.fleet));
   }
-  subscriber->connect([&, subscriber_qos, rtt_series](bool ok) {
+  subscriber->connect([&, subscriber_qos](bool ok) {
     if (!ok) return;
     subscriber->subscribe(
         "powergrid/#", subscriber_qos,
-        [&results, &in_flight, &hydra, &tracker, rtt_series](
-            const mqtt::PacketPtr& packet, SimTime arrived_at) {
-          tracker.on_delivery(hydra.sim().now());
-          const auto it = in_flight.find(packet->message_id);
-          if (it == in_flight.end()) return;  // dup / will / status message
-          results.metrics.record(it->second.before_sending,
-                                 it->second.after_sending, arrived_at,
-                                 hydra.sim().now());
-          if (rtt_series != nullptr) {
-            rtt_series->record(units::to_millis(hydra.sim().now() -
-                                                it->second.before_sending));
-          }
-          if (obs::Recorder* r = obs::tracer()) {
-            r->mark_at(obs::key_of(packet->message_id), "recv", arrived_at);
-            r->mark(obs::key_of(packet->message_id), "done");
-            r->complete(obs::key_of(packet->message_id));
-          }
-          in_flight.erase(it);
+        [&harness, &in_flight](const mqtt::PacketPtr& packet,
+                               SimTime arrived_at) {
+          harness.on_delivery();
+          // Unknown ids are duplicates and will/status messages.
+          in_flight.deliver(packet->message_id, arrived_at);
         });
   });
 
@@ -277,143 +207,22 @@ Results run_mqtt_experiment(const MqttConfig& config) {
     const int host =
         generator_hosts[static_cast<std::size_t>(g) % generator_hosts.size()];
     fleet.push_back(std::make_unique<MqttGenerator>(
-        hydra, host, broker_config.endpoint, config, g, results.metrics,
-        refused_in_faults, injector_ptr, in_flight));
-    hydra.sim().schedule_at(kStartTime + config.fleet.creation_interval * g,
-                            [gen = fleet.back().get()] { gen->start(); });
+        harness, in_flight, host, broker_config.endpoint, config, g));
+    hydra.sim().schedule_at(
+        Harness::kStartTime + config.fleet.creation_interval * g,
+        [gen = fleet.back().get()] { gen->start(); });
   }
 
-  const SimTime steady_begin =
-      kStartTime + config.fleet.creation_interval * config.fleet.generators +
-      config.fleet.warmup_max;
-  const SimTime measure_end = steady_begin + config.duration;
-
-  // Fault hooks: same fabric-level hooks as Narada; broker crash/restart
-  // map onto the single MqttBroker (partition is a no-op — one broker).
+  // Broker crash/restart map onto the single MqttBroker (partition is a
+  // no-op — one broker).
   FaultHooks hooks;
-  hooks.set_nic = [&hydra](int node, bool down) {
-    hydra.lan().set_node_down(node, down);
-  };
-  const double base_loss = hydra_config.lan.datagram_loss;
-  hooks.set_loss = [&hydra, base_loss](double p, bool active) {
-    hydra.lan().set_datagram_loss(active ? p : base_loss);
-  };
-  hooks.set_link_loss = [&hydra](int src, int dst, double p, bool active) {
-    if (active) {
-      hydra.lan().set_link_loss(src, dst, p);
-    } else {
-      hydra.lan().clear_link_loss(src, dst);
-    }
-  };
   hooks.crash_broker = [&broker](int) { broker.crash(); };
   hooks.restart_broker = [&broker](int) { broker.restart(); };
-  FaultInjector injector(hydra.sim(), config.faults, hooks);
-  injector.arm(steady_begin);
-  injector_ptr = &injector;
-  tracker.set_windows(injector.windows());
-  if (recorder) {
-    for (const FaultEvent& event : config.faults.events) {
-      const SimTime base =
-          event.anchor == FaultAnchor::kSteady ? steady_begin : 0;
-      recorder->add_chaos(std::string(to_string(event.kind)), base + event.at,
-                          base + event.at + event.duration);
-    }
-    recorder->set_sampler([&results, &hydra, &broker, prof = memprof.get(),
-                           replay = config.replay.enabled](
-                              obs::Timeline& timeline) {
-      timeline.gauge("sent").set(
-          static_cast<double>(results.metrics.sent()));
-      timeline.gauge("received").set(
-          static_cast<double>(results.metrics.received()));
-      timeline.gauge("kernel_events").set(
-          static_cast<double>(hydra.sim().kernel_stats().events_executed));
-      timeline.gauge("kernel_queue_depth").set(
-          static_cast<double>(hydra.sim().queue_size()));
-      timeline.gauge("lan_in_flight").set(
-          static_cast<double>(hydra.lan().datagrams_in_flight()));
-      timeline.gauge("lan_dropped").set(
-          static_cast<double>(hydra.lan().datagrams_dropped()));
-      const auto& broker_stats = broker.stats();
-      timeline.gauge("broker_publishes_received")
-          .set(static_cast<double>(broker_stats.publishes_received));
-      timeline.gauge("broker_publishes_delivered")
-          .set(static_cast<double>(broker_stats.publishes_delivered));
-      timeline.gauge("broker_retransmissions")
-          .set(static_cast<double>(broker_stats.retransmissions));
-      if (prof != nullptr) {
-        prof->set(obs::MemCategory::kKernelSlab,
-                  static_cast<std::int64_t>(
-                      hydra.sim().kernel_stats().slab_bytes));
-        timeline.gauge("mem_broker_routing")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kBrokerRouting)));
-        timeline.gauge("mem_client_records")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kClientRecords)));
-        timeline.gauge("mem_net_connections")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kNetConnections)));
-        timeline.gauge("mem_kernel_slab")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kKernelSlab)));
-        timeline.gauge("mem_sub_index")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kMqttSubIndex)));
-        timeline.gauge("mem_total")
-            .set(static_cast<double>(prof->live_total()));
-      }
-      if (replay) {
-        timeline.gauge("backfill_msgs")
-            .set(static_cast<double>(broker_stats.backfill_msgs));
-        timeline.gauge("backfill_bytes")
-            .set(static_cast<double>(broker_stats.backfill_bytes));
-        timeline.gauge("queue_dropped")
-            .set(static_cast<double>(broker_stats.queue_dropped));
-        if (prof != nullptr) {
-          timeline.gauge("mem_history")
-              .set(static_cast<double>(
-                  prof->live(obs::MemCategory::kHistory)));
-        }
-      }
-    });
-    recorder->arm(kStartTime);
-  }
 
-  // vmstat on the broker host: memory over the whole run (ramp included),
-  // CPU idle over the steady window only.
-  cluster::VmstatSampler mem_sampler(hydra.host(config.broker_host));
-  cluster::VmstatSampler cpu_sampler(hydra.host(config.broker_host));
-  hydra.sim().schedule_at(kStartTime, [&mem_sampler] { mem_sampler.start(); });
-  hydra.sim().schedule_at(steady_begin,
-                          [&cpu_sampler] { cpu_sampler.start(); });
-  hydra.sim().schedule_at(measure_end, [&mem_sampler, &cpu_sampler] {
-    mem_sampler.stop();
-    cpu_sampler.stop();
-  });
+  Results results = harness.run(
+      config.faults, std::move(hooks), {config.broker_host},
+      {Harness::steady_begin(config.fleet), config.duration, kDrainTime});
 
-  const SimTime horizon = measure_end + kDrainTime;
-  hydra.sim().run_until(horizon);
-
-  results.servers.cpu_idle_pct = cpu_sampler.mean_cpu_idle();
-  results.servers.memory_bytes = mem_sampler.memory_consumption();
-  results.events_forwarded = 0;  // single broker, no broker-broker traffic
-  results.wire_bytes = hydra.lan().bytes_to_node(config.broker_host);
-  results.refused = results.metrics.refused_connections();
-  results.refused_in_faults = refused_in_faults;
-  results.completed = !results.hit_oom_wall();
-  results.kernel = hydra.sim().kernel_stats();
-  if (memprof) {
-    memprof->set(obs::MemCategory::kKernelSlab,
-                 static_cast<std::int64_t>(results.kernel.slab_bytes));
-    results.mem = memprof->summary();
-  }
-
-  for (const auto& [key, sent] : in_flight) {
-    tracker.classify_loss(sent.before_sending);
-  }
-  results.availability = tracker.finalise(horizon);
-  results.availability.fault_events = injector.injected();
-  results.availability.delivered_late = results.metrics.delivered_late();
   for (const auto& gen : fleet) {
     results.availability.reconnects += gen->reconnects();
     results.availability.resubscribes += gen->resubscribes();
@@ -421,9 +230,8 @@ Results run_mqtt_experiment(const MqttConfig& config) {
   results.availability.reconnects += subscriber->reconnects();
   results.availability.resubscribes += subscriber->resubscribes();
   // Offline-queue drains at session resumption are MQTT's backfill path.
-  results.availability.backfill_msgs = broker.stats().backfill_msgs;
-  results.availability.backfill_bytes = broker.stats().backfill_bytes;
-  if (recorder) results.obs = recorder->finish(horizon);
+  results.availability.backfill_msgs = stats.backfill_msgs;
+  results.availability.backfill_bytes = stats.backfill_bytes;
   return results;
 }
 

@@ -1,45 +1,30 @@
 #include <memory>
-#include <unordered_map>
 
 #include "cluster/costs.hpp"
-#include "cluster/hydra.hpp"
-#include "cluster/vmstat.hpp"
-#include "core/experiment.hpp"
-#include "core/payloads.hpp"
+#include "core/harness.hpp"
 #include "narada/client.hpp"
 #include "narada/dbn.hpp"
-#include "util/log.hpp"
 
 namespace gridmon::core {
 namespace {
 
-constexpr SimTime kStartTime = units::seconds(1);
 constexpr SimTime kDrainTime = units::seconds(60);
 constexpr const char* kTopic = "powergrid/monitoring";
-
-struct SentRecord {
-  SimTime before_sending;
-  SimTime after_sending;
-};
 
 /// One simulated power generator: owns a client connection and publishes
 /// readings on its period. Mirrors §III.E: created on a stagger, sleeps a
 /// random 10–20 s so publications spread evenly, then publishes every 10 s.
 class Generator {
  public:
-  Generator(cluster::Hydra& hydra, int host, net::Endpoint broker,
-            const NaradaConfig& config, std::int64_t id, Metrics& metrics,
-            std::uint64_t& refused_in_faults, const FaultInjector*& injector,
-            std::unordered_map<std::string, SentRecord>& in_flight)
-      : hydra_(hydra),
+  Generator(Harness& harness, InFlight<std::string>& in_flight, int host,
+            net::Endpoint broker, const NaradaConfig& config, std::int64_t id)
+      : harness_(harness),
+        in_flight_(in_flight),
         config_(config),
         id_(id),
-        metrics_(metrics),
-        refused_in_faults_(refused_in_faults),
-        injector_(injector),
-        in_flight_(in_flight),
-        rng_(hydra.sim().rng_stream("generator").stream(
+        rng_(harness.sim().rng_stream("generator").stream(
             static_cast<std::uint64_t>(id))) {
+    cluster::Hydra& hydra = harness.hydra();
     const auto port = static_cast<std::uint16_t>(10000 + id % 50000);
     client_ = narada::NaradaClient::create(
         hydra.host(host), hydra.lan(), hydra.streams(), broker,
@@ -56,25 +41,15 @@ class Generator {
 
   void start() {
     client_->connect([this](bool ok) {
-      if (!ok) {
-        metrics_.count_refused_connection();
-        if (injector_ != nullptr &&
-            in_fault_window(injector_->windows(), hydra_.sim().now())) {
-          ++refused_in_faults_;
-        }
-        return;
-      }
-      const auto warmup = static_cast<SimTime>(rng_.uniform(
-          static_cast<double>(config_.fleet.warmup_min),
-          static_cast<double>(config_.fleet.warmup_max)));
-      remaining_ = config_.fleet.publish_period > 0
-                       ? config_.duration / config_.fleet.publish_period
-                       : 0;
-      hydra_.sim().schedule_after(warmup, [this] { publish_next(); });
+      if (!ok) return harness_.refuse();
+      const FleetConfig& fleet = config_.fleet;
+      loop_.start(harness_.sim(),
+                  Harness::uniform_time(rng_, fleet.warmup_min,
+                                        fleet.warmup_max),
+                  fleet, config_.duration, [this] { publish(); });
     });
   }
 
-  [[nodiscard]] bool refused() const { return client_->refused(); }
   [[nodiscard]] std::uint64_t reconnects() const {
     return client_->reconnects();
   }
@@ -83,43 +58,35 @@ class Generator {
   }
 
  private:
-  void publish_next() {
-    if (remaining_ <= 0) return;
-    --remaining_;
+  void publish() {
     jms::Message msg = make_generator_message(kTopic, id_, sequence_++,
                                               client_->local().node, rng_,
                                               config_.fleet.pad_bytes);
     msg.delivery_mode = config_.delivery_mode;
-    const SimTime before = hydra_.sim().now();
+    const SimTime before = harness_.sim().now();
     const std::string key = "ID:" + std::to_string(client_->local().node) +
                             "-" + std::to_string(client_->local().port) + "-" +
                             std::to_string(sequence_);
     // Count at publish intent, not send completion: a message stuck in a
     // disconnected client's backlog is a loss, and must be visible as one.
     // (Fault-free runs are unchanged — every publish completes.)
-    metrics_.count_sent();
-    in_flight_.emplace(key, SentRecord{before, before});
+    harness_.metrics().count_sent();
+    in_flight_.add(key, SentRecord{before, before});
     obs::mark_message(key, "pub");
     client_->publish(std::move(msg), [this, key](SimTime after) {
-      const auto it = in_flight_.find(key);
-      if (it != in_flight_.end()) it->second.after_sending = after;
+      in_flight_.sent(key, after);
       obs::mark_message_at(key, "sent", after);
     });
-    hydra_.sim().schedule_after(config_.fleet.publish_period,
-                                [this] { publish_next(); });
   }
 
-  cluster::Hydra& hydra_;
+  Harness& harness_;
+  InFlight<std::string>& in_flight_;
   const NaradaConfig& config_;
   std::int64_t id_;
-  Metrics& metrics_;
-  std::uint64_t& refused_in_faults_;
-  const FaultInjector*& injector_;
-  std::unordered_map<std::string, SentRecord>& in_flight_;
   util::Rng rng_;
   std::shared_ptr<narada::NaradaClient> client_;
+  PublishLoop loop_;
   std::int64_t sequence_ = 0;
-  std::int64_t remaining_ = 0;
 };
 
 }  // namespace
@@ -130,7 +97,8 @@ Results run_narada_experiment(const NaradaConfig& config) {
   if (config.transport == narada::TransportKind::kUdp) {
     hydra_config.lan.datagram_loss = cluster::costs::kUdpLossProbability;
   }
-  cluster::Hydra hydra(hydra_config);
+  Harness harness(hydra_config, config.fleet.generators);
+  cluster::Hydra& hydra = harness.hydra();
 
   // Brokers (unit controller assigns addresses; see Dbn).
   narada::DbnConfig dbn_config;
@@ -162,76 +130,35 @@ Results run_narada_experiment(const NaradaConfig& config) {
     generator_hosts.assign(free_hosts.begin() + 1, free_hosts.end());
   }
 
-  Results results;
-  results.metrics.set_deadline(units::seconds(5));
-  results.generators = config.fleet.generators;
-  std::unordered_map<std::string, SentRecord> in_flight;
-  std::uint64_t refused_in_faults = 0;
-  const FaultInjector* injector_ptr = nullptr;
-  AvailabilityTracker tracker;
-
-  // Observability: one recorder for the run, installed thread-locally so
-  // middleware mark helpers route to it. The sampler below only reads
-  // state, so metrics are identical with obs on or off.
-  std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::MemProfile> memprof;
-  obs::HistogramSeries* rtt_series = nullptr;
-  if (obs::kEnabled && config.obs.enabled) {
-    recorder = std::make_unique<obs::Recorder>(hydra.sim(), config.obs);
-    auto& timeline = recorder->timeline();
-    // Fixed column order (creation order is export order).
-    timeline.gauge("sent");
-    timeline.gauge("received");
-    rtt_series = &timeline.histogram("rtt_ms");
-    timeline.gauge("kernel_events");
-    timeline.gauge("kernel_queue_depth");
-    timeline.gauge("lan_in_flight");
-    timeline.gauge("lan_dropped");
-    timeline.gauge("broker_events_received");
-    timeline.gauge("broker_events_delivered");
-    timeline.gauge("broker_events_forwarded");
-    if (config.obs.memprof) {
-      // Memory-footprint gauges ride after the classic columns so the
-      // pinned series prefix ("t_ms,sent,received,...") never moves.
-      memprof = std::make_unique<obs::MemProfile>();
-      timeline.gauge("mem_broker_routing");
-      timeline.gauge("mem_client_records");
-      timeline.gauge("mem_net_connections");
-      timeline.gauge("mem_kernel_slab");
-      timeline.gauge("mem_total");
-    }
-    if (config.replay.enabled) {
-      // Replication columns ride last, and only on replay runs, so the
-      // classic timeline shape is untouched.
-      timeline.gauge("backfill_msgs");
-      timeline.gauge("backfill_bytes");
-      if (config.obs.memprof) timeline.gauge("mem_history");
-    }
+  Columns columns;
+  columns.counters = {
+      {"broker_events_received",
+       [&dbn] { return dbn.total_stats().events_received; }},
+      {"broker_events_delivered",
+       [&dbn] { return dbn.total_stats().events_delivered; }},
+      {"broker_events_forwarded",
+       [&dbn] { return dbn.total_stats().events_forwarded; }},
+  };
+  columns.mem = {obs::MemCategory::kBrokerRouting,
+                 obs::MemCategory::kClientRecords,
+                 obs::MemCategory::kNetConnections,
+                 obs::MemCategory::kKernelSlab};
+  if (config.replay.enabled) {
+    columns.replay = {
+        {"backfill_msgs", [&dbn] { return dbn.total_stats().backfill_msgs; }},
+        {"backfill_bytes", [&dbn] { return dbn.total_stats().backfill_bytes; }},
+    };
   }
-  obs::ScopedRecorder scoped(recorder.get());
-  obs::ScopedMemProfile scoped_mem(memprof.get());
+  harness.observe(config.obs, std::move(columns));
+  InFlight<std::string> in_flight(harness);
 
   // Subscriber programs.
   std::vector<std::shared_ptr<narada::NaradaClient>> subscribers;
-  auto make_listener = [&, rtt_series] {
-    return [&results, &in_flight, &hydra, &tracker, rtt_series](
-               const jms::MessagePtr& message, SimTime arrived_at) {
-      tracker.on_delivery(hydra.sim().now());
-      const auto it = in_flight.find(message->message_id);
-      if (it == in_flight.end()) return;
-      results.metrics.record(it->second.before_sending,
-                             it->second.after_sending, arrived_at,
-                             hydra.sim().now());
-      if (rtt_series != nullptr) {
-        rtt_series->record(units::to_millis(hydra.sim().now() -
-                                            it->second.before_sending));
-      }
-      if (obs::Recorder* r = obs::tracer()) {
-        r->mark_at(obs::key_of(message->message_id), "recv", arrived_at);
-        r->mark(obs::key_of(message->message_id), "done");
-        r->complete(obs::key_of(message->message_id));
-      }
-      in_flight.erase(it);
+  auto make_listener = [&harness, &in_flight] {
+    return [&harness, &in_flight](const jms::MessagePtr& message,
+                                  SimTime arrived_at) {
+      harness.on_delivery();
+      in_flight.deliver(message->message_id, arrived_at);
     };
   };
   narada::ReconnectPolicy subscriber_policy;
@@ -288,11 +215,8 @@ Results run_narada_experiment(const NaradaConfig& config) {
       sub->subscribe("powergrid/monitoring", "id<10000", ack,
                      make_listener());
     });
-    // CLIENT_ACKNOWLEDGE: the subscriber program acknowledges every
-    // delivery, as the test client would.
-    if (config.ack_mode == jms::AcknowledgeMode::kClientAcknowledge) {
-      // acknowledge() piggybacks on deliveries inside the client model.
-    }
+    // CLIENT_ACKNOWLEDGE: acknowledge() piggybacks on deliveries inside
+    // the client model, as the test client would acknowledge each one.
     subscribers.push_back(std::move(sub));
   }
 
@@ -304,40 +228,15 @@ Results run_narada_experiment(const NaradaConfig& config) {
         generator_hosts[static_cast<std::size_t>(g) % generator_hosts.size()];
     const net::Endpoint broker =
         multi_broker ? dbn.assign_publisher_broker() : dbn.broker_endpoint(0);
-    fleet.push_back(std::make_unique<Generator>(hydra, host, broker, config,
-                                                g, results.metrics,
-                                                refused_in_faults,
-                                                injector_ptr, in_flight));
-    hydra.sim().schedule_at(kStartTime + config.fleet.creation_interval * g,
+    fleet.push_back(std::make_unique<Generator>(harness, in_flight, host,
+                                                broker, config, g));
+    hydra.sim().schedule_at(Harness::kStartTime +
+                                config.fleet.creation_interval * g,
                             [gen = fleet.back().get()] { gen->start(); });
   }
 
-  // vmstat on every broker host. Memory (peak-bottom) is sampled over the
-  // whole run — the connection ramp is what makes it grow with connection
-  // count; CPU idle is averaged over the steady publishing window only.
-  const SimTime steady_begin = kStartTime +
-                               config.fleet.creation_interval * config.fleet.generators +
-                               config.fleet.warmup_max;
-  const SimTime measure_end = steady_begin + config.duration;
-
-  // Fault injection: hooks bridge FaultPlan events onto the LAN fabric and
-  // the broker network. All fire at fixed virtual times, so chaos runs are
-  // as deterministic as fault-free ones.
+  // Fault hooks beyond the LAN ones the harness wires: the broker network.
   FaultHooks hooks;
-  hooks.set_nic = [&hydra](int node, bool down) {
-    hydra.lan().set_node_down(node, down);
-  };
-  const double base_loss = hydra_config.lan.datagram_loss;
-  hooks.set_loss = [&hydra, base_loss](double p, bool active) {
-    hydra.lan().set_datagram_loss(active ? p : base_loss);
-  };
-  hooks.set_link_loss = [&hydra](int src, int dst, double p, bool active) {
-    if (active) {
-      hydra.lan().set_link_loss(src, dst, p);
-    } else {
-      hydra.lan().clear_link_loss(src, dst);
-    }
-  };
   hooks.set_partition = [&hydra, &config, &dbn](bool active) {
     // Split the DBN down the middle: publishing brokers (first half) lose
     // the switch path to subscribing brokers (second half).
@@ -358,125 +257,13 @@ Results run_narada_experiment(const NaradaConfig& config) {
   };
   hooks.crash_broker = [&dbn](int b) { dbn.broker(b).crash(); };
   hooks.restart_broker = [&dbn](int b) { dbn.broker(b).restart(); };
-  FaultInjector injector(hydra.sim(), config.faults, hooks);
-  injector.arm(steady_begin);
-  injector_ptr = &injector;
-  tracker.set_windows(injector.windows());
-  if (recorder) {
-    // Chaos track: every planned event (instantaneous ones included, which
-    // windows() excludes), with anchors resolved the same way arm() does.
-    for (const FaultEvent& event : config.faults.events) {
-      const SimTime base =
-          event.anchor == FaultAnchor::kSteady ? steady_begin : 0;
-      recorder->add_chaos(std::string(to_string(event.kind)), base + event.at,
-                          base + event.at + event.duration);
-    }
-    recorder->set_sampler([&results, &hydra, &dbn, prof = memprof.get(),
-                           replay = config.replay.enabled](
-                              obs::Timeline& timeline) {
-      timeline.gauge("sent").set(
-          static_cast<double>(results.metrics.sent()));
-      timeline.gauge("received").set(
-          static_cast<double>(results.metrics.received()));
-      timeline.gauge("kernel_events").set(
-          static_cast<double>(hydra.sim().kernel_stats().events_executed));
-      timeline.gauge("kernel_queue_depth").set(
-          static_cast<double>(hydra.sim().queue_size()));
-      timeline.gauge("lan_in_flight").set(
-          static_cast<double>(hydra.lan().datagrams_in_flight()));
-      timeline.gauge("lan_dropped").set(
-          static_cast<double>(hydra.lan().datagrams_dropped()));
-      const auto broker_stats = dbn.total_stats();
-      timeline.gauge("broker_events_received")
-          .set(static_cast<double>(broker_stats.events_received));
-      timeline.gauge("broker_events_delivered")
-          .set(static_cast<double>(broker_stats.events_delivered));
-      timeline.gauge("broker_events_forwarded")
-          .set(static_cast<double>(broker_stats.events_forwarded));
-      if (prof != nullptr) {
-        prof->set(obs::MemCategory::kKernelSlab,
-                  static_cast<std::int64_t>(
-                      hydra.sim().kernel_stats().slab_bytes));
-        timeline.gauge("mem_broker_routing")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kBrokerRouting)));
-        timeline.gauge("mem_client_records")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kClientRecords)));
-        timeline.gauge("mem_net_connections")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kNetConnections)));
-        timeline.gauge("mem_kernel_slab")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kKernelSlab)));
-        timeline.gauge("mem_total")
-            .set(static_cast<double>(prof->live_total()));
-      }
-      if (replay) {
-        timeline.gauge("backfill_msgs")
-            .set(static_cast<double>(broker_stats.backfill_msgs));
-        timeline.gauge("backfill_bytes")
-            .set(static_cast<double>(broker_stats.backfill_bytes));
-        if (prof != nullptr) {
-          timeline.gauge("mem_history")
-              .set(static_cast<double>(
-                  prof->live(obs::MemCategory::kHistory)));
-        }
-      }
-    });
-    recorder->arm(kStartTime);
-  }
-  std::vector<std::unique_ptr<cluster::VmstatSampler>> mem_samplers;
-  std::vector<std::unique_ptr<cluster::VmstatSampler>> cpu_samplers;
-  for (int host : config.broker_hosts) {
-    mem_samplers.push_back(
-        std::make_unique<cluster::VmstatSampler>(hydra.host(host)));
-    cpu_samplers.push_back(
-        std::make_unique<cluster::VmstatSampler>(hydra.host(host)));
-    auto* mem = mem_samplers.back().get();
-    auto* cpu = cpu_samplers.back().get();
-    hydra.sim().schedule_at(kStartTime, [mem] { mem->start(); });
-    hydra.sim().schedule_at(steady_begin, [cpu] { cpu->start(); });
-    hydra.sim().schedule_at(measure_end, [mem, cpu] {
-      mem->stop();
-      cpu->stop();
-    });
-  }
 
-  const SimTime horizon = measure_end + kDrainTime;
-  hydra.sim().run_until(horizon);
+  Results results = harness.run(
+      config.faults, std::move(hooks), config.broker_hosts,
+      {Harness::steady_begin(config.fleet), config.duration, kDrainTime});
 
-  // Collect resources.
-  double idle_sum = 0.0;
-  std::int64_t mem_sum = 0;
-  for (auto& sampler : cpu_samplers) idle_sum += sampler->mean_cpu_idle();
-  for (auto& sampler : mem_samplers) mem_sum += sampler->memory_consumption();
-  results.servers.cpu_idle_pct =
-      idle_sum / static_cast<double>(cpu_samplers.size());
-  results.servers.memory_bytes =
-      mem_sum / static_cast<std::int64_t>(mem_samplers.size());
-  results.events_forwarded = dbn.total_stats().events_forwarded;
-  for (int host : config.broker_hosts) {
-    results.wire_bytes += hydra.lan().bytes_to_node(host);
-  }
-  results.refused = results.metrics.refused_connections();
-  results.refused_in_faults = refused_in_faults;
-  results.completed = !results.hit_oom_wall();
-  results.kernel = hydra.sim().kernel_stats();
-  if (memprof) {
-    memprof->set(obs::MemCategory::kKernelSlab,
-                 static_cast<std::int64_t>(results.kernel.slab_bytes));
-    results.mem = memprof->summary();
-  }
-
-  // Availability: classify every undelivered message against the fault
-  // windows (sums are order-independent), then fold in recovery effort.
-  for (const auto& [key, sent] : in_flight) {
-    tracker.classify_loss(sent.before_sending);
-  }
-  results.availability = tracker.finalise(horizon);
-  results.availability.fault_events = injector.injected();
-  results.availability.delivered_late = results.metrics.delivered_late();
+  const auto broker_stats = dbn.total_stats();
+  results.events_forwarded = broker_stats.events_forwarded;
   for (const auto& gen : fleet) {
     results.availability.reconnects += gen->reconnects();
     results.availability.resubscribes += gen->resubscribes();
@@ -487,10 +274,8 @@ Results run_narada_experiment(const NaradaConfig& config) {
   }
   // Backfill traffic served from retention: broker stats cover both
   // client-facing replays and peer-to-peer replication repair.
-  const auto total_broker_stats = dbn.total_stats();
-  results.availability.backfill_msgs = total_broker_stats.backfill_msgs;
-  results.availability.backfill_bytes = total_broker_stats.backfill_bytes;
-  if (recorder) results.obs = recorder->finish(horizon);
+  results.availability.backfill_msgs = broker_stats.backfill_msgs;
+  results.availability.backfill_bytes = broker_stats.backfill_bytes;
   return results;
 }
 

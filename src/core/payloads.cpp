@@ -1,5 +1,7 @@
 #include "core/payloads.hpp"
 
+#include "util/log.hpp"
+
 namespace gridmon::core {
 
 jms::Message make_generator_message(const std::string& topic,
@@ -89,6 +91,61 @@ std::vector<rgma::SqlValue> make_generator_row(std::int64_t generator_id,
   row.emplace_back("WT-2000-r" + std::to_string(generator_id % 7));
   row.emplace_back(std::string(rng.chance(0.98) ? "RUNNING" : "STARTING"));
   return row;
+}
+
+RowPoller::RowPoller(cluster::Host& host, net::HttpClient& http,
+                     net::Endpoint service, int consumer_id, std::string query,
+                     SimTime period, OnRow on_row)
+    : sim_(host.sim()),
+      consumer_(host, http, service, consumer_id, std::move(query)),
+      period_(period),
+      on_row_(std::move(on_row)) {}
+
+void RowPoller::enable_retry(SimTime delay) {
+  retry_ = delay;
+  consumer_.enable_retry(delay);
+}
+
+void RowPoller::enable_replay() {
+  consumer_.enable_replay(
+      [this](std::vector<rgma::Tuple> tuples, SimTime issued) {
+        process(tuples, issued, /*backfill=*/true);
+      });
+}
+
+void RowPoller::start() {
+  consumer_.create([this](bool ok) {
+    if (!ok) {
+      GRIDMON_WARN("rgma.subscriber") << "consumer creation refused";
+      if (retry_ > 0) sim_.schedule_after(retry_, [this] { start(); });
+      return;
+    }
+    if (!timer_.active()) {
+      timer_ = sim::PeriodicTimer(sim_, sim_.now() + period_, period_,
+                                  [this] { poll(); });
+    }
+  });
+}
+
+void RowPoller::poll() {
+  if (polling_) return;  // the previous poll has not returned yet
+  polling_ = true;
+  consumer_.poll([this](std::vector<rgma::Tuple> tuples,
+                        SimTime before_receiving) {
+    polling_ = false;
+    process(tuples, before_receiving, /*backfill=*/false);
+  });
+}
+
+void RowPoller::process(const std::vector<rgma::Tuple>& tuples,
+                        SimTime before_receiving, bool backfill) {
+  for (const auto& tuple : tuples) {
+    if (tuple.values.size() <= kRowSeqColumn) continue;
+    const auto* id = std::get_if<std::int64_t>(&tuple.values[kRowIdColumn]);
+    const auto* seq = std::get_if<std::int64_t>(&tuple.values[kRowSeqColumn]);
+    if (id == nullptr || seq == nullptr) continue;
+    on_row_(row_key(*id, *seq), before_receiving, backfill);
+  }
 }
 
 }  // namespace gridmon::core

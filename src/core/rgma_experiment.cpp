@@ -1,55 +1,32 @@
 #include <memory>
-#include <unordered_map>
 
-#include "cluster/hydra.hpp"
-#include "cluster/vmstat.hpp"
-#include "core/experiment.hpp"
-#include "core/payloads.hpp"
+#include "core/harness.hpp"
 #include "rgma/network.hpp"
 #include "rgma/secondary_producer.hpp"
-#include "util/log.hpp"
 
 namespace gridmon::core {
 namespace {
 
-constexpr SimTime kStartTime = units::seconds(1);
 constexpr const char* kTable = "generators";
 constexpr const char* kSecondaryTable = "generators_sp";
-
-struct SentRecord {
-  SimTime before_sending;
-  SimTime after_sending;
-};
-
-[[nodiscard]] std::int64_t row_key(std::int64_t id, std::int64_t seq) {
-  return id * 1'000'000'000 + seq;
-}
 
 /// One simulated power generator on the R-GMA side: owns a PrimaryProducer
 /// registration and inserts a row every period (§III.F).
 class RgmaGenerator {
  public:
-  RgmaGenerator(cluster::Hydra& hydra, int host, net::HttpClient& http,
-                net::Endpoint service, const RgmaConfig& config,
-                std::int64_t id, Metrics& metrics,
-                std::uint64_t& refused_in_faults,
-                const FaultInjector*& injector,
-                std::unordered_map<std::int64_t, SentRecord>& in_flight,
-                AvailabilityTracker& tracker)
-      : hydra_(hydra),
+  RgmaGenerator(Harness& harness, InFlight<std::int64_t>& in_flight, int host,
+                net::HttpClient& http, net::Endpoint service,
+                const RgmaConfig& config, std::int64_t id)
+      : harness_(harness),
+        in_flight_(in_flight),
         config_(config),
         id_(id),
-        metrics_(metrics),
-        refused_in_faults_(refused_in_faults),
-        injector_(injector),
-        in_flight_(in_flight),
-        tracker_(tracker),
-        rng_(hydra.sim().rng_stream("rgma.generator").stream(
+        rng_(harness.sim().rng_stream("rgma.generator").stream(
             static_cast<std::uint64_t>(id))),
         // Replay runs widen producer retention to the configured tiers so a
         // reconnecting consumer's history query can cover its poll gap.
-        producer_(hydra.host(host), http, service, static_cast<int>(id),
-                  kTable,
+        producer_(harness.hydra().host(host), http, service,
+                  static_cast<int>(id), kTable,
                   config.replay.enabled ? config.replay.retention.raw_window
                                         : units::seconds(30),
                   config.replay.enabled
@@ -67,197 +44,79 @@ class RgmaGenerator {
 
   void start() {
     producer_.declare([this](bool ok) {
-      if (!ok) {
-        metrics_.count_refused_connection();
-        if (injector_ != nullptr &&
-            in_fault_window(injector_->windows(), hydra_.sim().now())) {
-          ++refused_in_faults_;
-        }
-        return;
-      }
-      remaining_ = config_.fleet.publish_period > 0
-                       ? config_.duration / config_.fleet.publish_period
-                       : 0;
-      SimTime warmup;
-      if (config_.fleet.warmup_max > 0) {
-        warmup = static_cast<SimTime>(
-            rng_.uniform(static_cast<double>(config_.fleet.warmup_min),
-                         static_cast<double>(config_.fleet.warmup_max)));
-      } else {
-        // No warm-up wait (the paper's loss experiment): the publish loop
-        // still starts at a uniformly random phase within one period, so a
-        // producer's first insert races the mediator's attachment — most
-        // win, some lose their first tuple.
-        warmup = static_cast<SimTime>(
-            rng_.uniform(0.0, static_cast<double>(config_.fleet.publish_period)));
-      }
-      hydra_.sim().schedule_after(warmup, [this] { insert_next(); });
+      if (!ok) return harness_.refuse();
+      // With no warm-up wait (the paper's loss experiment) the insert loop
+      // still starts at a uniformly random phase within one period, so a
+      // producer's first insert races the mediator's attachment — most
+      // win, some lose their first tuple.
+      const FleetConfig& fleet = config_.fleet;
+      const SimTime warmup =
+          fleet.warmup_max > 0
+              ? Harness::uniform_time(rng_, fleet.warmup_min, fleet.warmup_max)
+              : Harness::uniform_time(rng_, 0, fleet.publish_period);
+      loop_.start(harness_.sim(), warmup, fleet, config_.duration,
+                  [this] { insert(); });
     });
   }
 
  private:
-  void insert_next() {
-    if (remaining_ <= 0) return;
-    --remaining_;
-    const SimTime before = hydra_.sim().now();
+  void insert() {
+    const SimTime before = harness_.sim().now();
     const std::int64_t seq = sequence_++;
     auto row = make_generator_row(id_, seq, before, rng_);
     // Count at insert intent: a 503 from a crashed container is a loss and
     // must be visible as one. (Fault-free runs are unchanged — inserts by
     // declared producers always succeed.)
-    metrics_.count_sent();
-    in_flight_.emplace(row_key(id_, seq), SentRecord{before, before});
+    harness_.metrics().count_sent();
+    in_flight_.add(row_key(id_, seq), SentRecord{before, before});
     obs::mark_row(id_, seq, "pub");
-    producer_.insert(std::move(row), [this, before, seq](bool ok,
-                                                         SimTime after) {
-      const auto it = in_flight_.find(row_key(id_, seq));
-      if (it == in_flight_.end()) return;
-      if (ok) {
-        it->second.after_sending = after;
+    producer_.insert(std::move(row), [this, seq](bool ok, SimTime after) {
+      if (!ok) return in_flight_.fail(row_key(id_, seq));
+      if (in_flight_.sent(row_key(id_, seq), after)) {
         obs::mark_row_at(id_, seq, "sent", after);
-      } else {
-        tracker_.classify_loss(before);
-        in_flight_.erase(it);
       }
     });
-    hydra_.sim().schedule_after(config_.fleet.publish_period,
-                                [this] { insert_next(); });
   }
 
-  cluster::Hydra& hydra_;
+  Harness& harness_;
+  InFlight<std::int64_t>& in_flight_;
   const RgmaConfig& config_;
   std::int64_t id_;
-  Metrics& metrics_;
-  std::uint64_t& refused_in_faults_;
-  const FaultInjector*& injector_;
-  std::unordered_map<std::int64_t, SentRecord>& in_flight_;
-  AvailabilityTracker& tracker_;
   util::Rng rng_;
   rgma::PrimaryProducer producer_;
+  PublishLoop loop_;
   std::int64_t sequence_ = 0;
-  std::int64_t remaining_ = 0;
 };
 
-/// The subscriber program: polls the Consumer every 100 ms and logs
-/// received tuples (the paper notes this adds up to 100 ms of measurement
-/// quantisation).
-class Subscriber {
- public:
-  Subscriber(cluster::Hydra& hydra, int host, net::HttpClient& http,
-             net::Endpoint consumer_service, int consumer_id,
-             std::string query, SimTime poll_period, Metrics& metrics,
-             std::unordered_map<std::int64_t, SentRecord>& in_flight,
-             AvailabilityTracker& tracker, SimTime create_retry = 0)
-      : hydra_(hydra),
-        consumer_(hydra.host(host), http, consumer_service, consumer_id,
-                  std::move(query)),
-        poll_period_(poll_period),
-        metrics_(metrics),
-        in_flight_(in_flight),
-        tracker_(tracker),
-        create_retry_(create_retry) {
-    if (create_retry > 0) consumer_.enable_retry(create_retry);
-  }
-
-  void start() {
-    consumer_.create([this](bool ok) {
-      if (!ok) {
-        GRIDMON_WARN("rgma.subscriber") << "consumer creation refused";
-        if (create_retry_ > 0) {
-          hydra_.sim().schedule_after(create_retry_, [this] { start(); });
-        }
-        return;
-      }
-      if (!timer_.active()) {
-        timer_ = sim::PeriodicTimer(
-            hydra_.sim(), hydra_.sim().now() + poll_period_, poll_period_,
-            [this] { poll(); });
-      }
-    });
-  }
-
-  void stop() { timer_.cancel(); }
-
-  /// Observability: RTT histogram deliveries record into (null = off).
-  void set_rtt_series(obs::HistogramSeries* series) { rtt_series_ = series; }
-
-  /// Reconnect backfill: after each successful re-create, replay the poll
-  /// gap from producer history retention. Re-delivered rows are dropped by
-  /// the in-flight map, so only genuinely missed rows count.
-  void enable_replay() {
-    consumer_.enable_replay(
-        [this](std::vector<rgma::Tuple> tuples, SimTime issued) {
-          process(std::move(tuples), issued, /*backfill=*/true);
-        });
-  }
-
-  [[nodiscard]] std::uint64_t recreates() const {
-    return consumer_.recreates();
-  }
-  [[nodiscard]] std::uint64_t backfill_tuples() const {
-    return consumer_.backfill_tuples();
-  }
-  [[nodiscard]] std::int64_t backfill_bytes() const {
-    return consumer_.backfill_bytes();
-  }
-
- private:
-  void poll() {
-    if (polling_) return;  // the previous poll has not returned yet
-    polling_ = true;
-    consumer_.poll([this](std::vector<rgma::Tuple> tuples,
-                          SimTime before_receiving) {
-      polling_ = false;
-      process(std::move(tuples), before_receiving, /*backfill=*/false);
-    });
-  }
-
-  void process(std::vector<rgma::Tuple> tuples, SimTime before_receiving,
-               bool backfill) {
-    const SimTime now = hydra_.sim().now();
-    for (const auto& tuple : tuples) {
-      if (tuple.values.size() <= kRowSentColumn) continue;
-      const auto* id = std::get_if<std::int64_t>(&tuple.values[kRowIdColumn]);
-      const auto* seq =
-          std::get_if<std::int64_t>(&tuple.values[kRowSeqColumn]);
-      if (id == nullptr || seq == nullptr) continue;
-      const auto it = in_flight_.find(row_key(*id, *seq));
-      if (it == in_flight_.end()) continue;
-      tracker_.on_delivery(now);
-      metrics_.record(it->second.before_sending, it->second.after_sending,
-                      before_receiving, now);
-      if (rtt_series_ != nullptr) {
-        rtt_series_->record(
-            units::to_millis(now - it->second.before_sending));
-      }
-      if (obs::Recorder* r = obs::tracer()) {
-        const obs::TraceKey key = obs::key_of(*id, *seq);
-        r->mark_at(key, backfill ? "backfill" : "recv", before_receiving);
-        r->mark(key, "done");
-        r->complete(key);
-      }
-      in_flight_.erase(it);
-    }
-  }
-
-  cluster::Hydra& hydra_;
-  rgma::Consumer consumer_;
-  SimTime poll_period_;
-  Metrics& metrics_;
-  std::unordered_map<std::int64_t, SentRecord>& in_flight_;
-  AvailabilityTracker& tracker_;
-  SimTime create_retry_;
-  sim::PeriodicTimer timer_;
-  bool polling_ = false;
-  obs::HistogramSeries* rtt_series_ = nullptr;
-};
+/// Timeline columns summing one service counter across the network.
+Probe producer_probe(std::string name, rgma::RgmaNetwork& network,
+                     std::uint64_t rgma::ProducerServiceStats::*field) {
+  return {std::move(name), [&network, field] {
+            std::uint64_t total = 0;
+            for (int i = 0; i < network.producer_service_count(); ++i) {
+              total += network.producer_service(i).stats().*field;
+            }
+            return total;
+          }};
+}
+Probe consumer_probe(std::string name, rgma::RgmaNetwork& network,
+                     std::uint64_t rgma::ConsumerServiceStats::*field) {
+  return {std::move(name), [&network, field] {
+            std::uint64_t total = 0;
+            for (int i = 0; i < network.consumer_service_count(); ++i) {
+              total += network.consumer_service(i).stats().*field;
+            }
+            return total;
+          }};
+}
 
 }  // namespace
 
 Results run_rgma_experiment(const RgmaConfig& config) {
   cluster::HydraConfig hydra_config;
   hydra_config.seed = config.seed;
-  cluster::Hydra hydra(hydra_config);
+  Harness harness(hydra_config, config.fleet.generators);
+  cluster::Hydra& hydra = harness.hydra();
 
   // Deployment: single server (everything on host 0) or the paper's
   // distributed architecture (2 producer nodes, 2 consumer nodes).
@@ -306,54 +165,42 @@ Results run_rgma_experiment(const RgmaConfig& config) {
     }
   }
 
-  Results results;
-  results.metrics.set_deadline(units::seconds(5));
-  results.generators = config.fleet.generators;
-  std::unordered_map<std::int64_t, SentRecord> in_flight;
-  std::uint64_t refused_in_faults = 0;
-  const FaultInjector* injector_ptr = nullptr;
-  AvailabilityTracker tracker;
-
-  // Observability: one recorder for the run, installed thread-locally so
-  // servlet mark helpers route to it (see narada_experiment.cpp).
-  std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::MemProfile> memprof;
-  obs::HistogramSeries* rtt_series = nullptr;
-  if (obs::kEnabled && config.obs.enabled) {
-    recorder = std::make_unique<obs::Recorder>(hydra.sim(), config.obs);
-    auto& timeline = recorder->timeline();
-    timeline.gauge("sent");
-    timeline.gauge("received");
-    rtt_series = &timeline.histogram("rtt_ms");
-    timeline.gauge("kernel_events");
-    timeline.gauge("kernel_queue_depth");
-    timeline.gauge("lan_in_flight");
-    timeline.gauge("lan_dropped");
-    timeline.gauge("pp_tuples_streamed");
-    timeline.gauge("pp_batches_sent");
-    timeline.gauge("cs_batches_received");
-    timeline.gauge("cs_tuples_matched");
-    timeline.gauge("cs_polls_served");
-    if (config.obs.memprof) {
-      // Memory-footprint gauges after the classic columns (the series
-      // prefix is pinned by obs_test).
-      memprof = std::make_unique<obs::MemProfile>();
-      timeline.gauge("mem_rgma_tuples");
-      timeline.gauge("mem_net_connections");
-      timeline.gauge("mem_kernel_slab");
-      timeline.gauge("mem_predicate_cache");
-      timeline.gauge("mem_total");
-    }
-    if (config.replay.enabled) {
-      // Replication columns ride last, and only on replay runs, so the
-      // classic timeline shape is untouched.
-      timeline.gauge("backfill_msgs");
-      timeline.gauge("backfill_bytes");
-      if (config.obs.memprof) timeline.gauge("mem_history");
-    }
+  std::vector<std::unique_ptr<RowPoller>> subscribers;
+  Columns columns;
+  columns.counters = {
+      producer_probe("pp_tuples_streamed", network,
+                     &rgma::ProducerServiceStats::tuples_streamed),
+      producer_probe("pp_batches_sent", network,
+                     &rgma::ProducerServiceStats::batches_sent),
+      consumer_probe("cs_batches_received", network,
+                     &rgma::ConsumerServiceStats::batches_received),
+      consumer_probe("cs_tuples_matched", network,
+                     &rgma::ConsumerServiceStats::tuples_matched),
+      consumer_probe("cs_polls_served", network,
+                     &rgma::ConsumerServiceStats::polls_served),
+  };
+  columns.mem = {obs::MemCategory::kRgmaTuples,
+                 obs::MemCategory::kNetConnections,
+                 obs::MemCategory::kKernelSlab,
+                 obs::MemCategory::kPredicateCache};
+  if (config.replay.enabled) {
+    columns.replay = {
+        {"backfill_msgs",
+         [&subscribers] {
+           std::uint64_t n = 0;
+           for (const auto& sub : subscribers) n += sub->backfill_tuples();
+           return n;
+         }},
+        {"backfill_bytes",
+         [&subscribers] {
+           std::int64_t n = 0;
+           for (const auto& sub : subscribers) n += sub->backfill_bytes();
+           return n;
+         }},
+    };
   }
-  obs::ScopedRecorder scoped(recorder.get());
-  obs::ScopedMemProfile scoped_mem(memprof.get());
+  harness.observe(config.obs, std::move(columns));
+  InFlight<std::int64_t> in_flight(harness);
 
   // Client hosts: 4–7 run generator programs and the subscriber(s).
   const std::vector<int> client_hosts = {4, 5, 6, 7};
@@ -378,7 +225,7 @@ Results run_rgma_experiment(const RgmaConfig& config) {
         hydra.host(sp_host), *secondary_http,
         network.assign_consumer_service(), network.assign_producer_service(),
         900000, kTable, kSecondaryTable, config.secondary_delay);
-    hydra.sim().schedule_at(kStartTime / 2,
+    hydra.sim().schedule_at(Harness::kStartTime / 2,
                             [&secondary] { secondary->start(nullptr); });
   }
 
@@ -386,7 +233,13 @@ Results run_rgma_experiment(const RgmaConfig& config) {
   // every row is delivered exactly once.
   const std::string table_to_watch =
       config.via_secondary_producer ? kSecondaryTable : kTable;
-  std::vector<std::unique_ptr<Subscriber>> subscribers;
+  const RowPoller::OnRow on_row = [&harness, &in_flight](
+                                      std::int64_t row, SimTime received,
+                                      bool backfill) {
+    if (in_flight.deliver(row, received, backfill ? "backfill" : "recv")) {
+      harness.on_delivery();
+    }
+  };
   const int consumer_services = network.consumer_service_count();
   for (int c = 0; c < consumer_services; ++c) {
     std::string query = "SELECT * FROM " + table_to_watch;
@@ -400,17 +253,19 @@ Results run_rgma_experiment(const RgmaConfig& config) {
     } else {
       query += " WHERE id < 1000000";  // the paper-style no-op filter
     }
-    subscribers.push_back(std::make_unique<Subscriber>(
-        hydra, client_hosts[static_cast<std::size_t>(c) % client_hosts.size()],
-        http_for(static_cast<std::size_t>(c)),
-        network.consumer_service(c).endpoint(), 800000 + c, std::move(query),
-        config.poll_period, results.metrics, in_flight, tracker,
-        config.fleet.recovery ? config.consumer_retry : SimTime{0}));
-    if (config.replay.enabled) subscribers.back()->enable_replay();
-    subscribers.back()->set_rtt_series(rtt_series);
-    hydra.sim().schedule_at(kStartTime / 2, [sub = subscribers.back().get()] {
-      sub->start();
-    });
+    auto* sub = subscribers
+                    .emplace_back(std::make_unique<RowPoller>(
+                        hydra.host(client_hosts[static_cast<std::size_t>(c) %
+                                                client_hosts.size()]),
+                        http_for(static_cast<std::size_t>(c)),
+                        network.consumer_service(c).endpoint(), 800000 + c,
+                        std::move(query), config.poll_period, on_row))
+                    .get();
+    if (config.fleet.recovery && config.consumer_retry > 0) {
+      sub->enable_retry(config.consumer_retry);
+    }
+    if (config.replay.enabled) sub->enable_replay();
+    hydra.sim().schedule_at(Harness::kStartTime / 2, [sub] { sub->start(); });
   }
 
   // Producer fleet on the paper's 1 s creation stagger.
@@ -419,38 +274,24 @@ Results run_rgma_experiment(const RgmaConfig& config) {
   for (int g = 0; g < config.fleet.generators; ++g) {
     const std::size_t client = static_cast<std::size_t>(g) % client_hosts.size();
     fleet.push_back(std::make_unique<RgmaGenerator>(
-        hydra, client_hosts[client], http_for(client),
-        network.assign_producer_service(), config, g, results.metrics,
-        refused_in_faults, injector_ptr, in_flight, tracker));
-    hydra.sim().schedule_at(kStartTime + config.fleet.creation_interval * g,
+        harness, in_flight, client_hosts[client], http_for(client),
+        network.assign_producer_service(), config, g));
+    hydra.sim().schedule_at(Harness::kStartTime +
+                                config.fleet.creation_interval * g,
                             [gen = fleet.back().get()] { gen->start(); });
   }
 
-  // vmstat over the steady window on every server host.
+  // vmstat on every server host.
   std::vector<int> server_hosts = net_config.producer_hosts;
   for (int h : net_config.consumer_hosts) {
     bool seen = false;
     for (int s : server_hosts) seen |= (s == h);
     if (!seen) server_hosts.push_back(h);
   }
-  const SimTime steady_begin = kStartTime +
-                               config.fleet.creation_interval * config.fleet.generators +
-                               config.fleet.warmup_max;
-  const SimTime measure_end = steady_begin + config.duration;
 
-  // Fault injection: bridge FaultPlan events onto the LAN and the R-GMA
-  // service containers. All fire at fixed virtual times.
+  // Fault hooks beyond the LAN ones the harness wires: the R-GMA service
+  // containers.
   FaultHooks hooks;
-  hooks.set_nic = [&hydra](int node, bool down) {
-    hydra.lan().set_node_down(node, down);
-  };
-  hooks.set_link_loss = [&hydra](int src, int dst, double p, bool active) {
-    if (active) {
-      hydra.lan().set_link_loss(src, dst, p);
-    } else {
-      hydra.lan().clear_link_loss(src, dst);
-    }
-  };
   hooks.set_registry_down = [&network](bool down) {
     if (down) {
       network.registry().crash();
@@ -478,150 +319,14 @@ Results run_rgma_experiment(const RgmaConfig& config) {
   hooks.set_registry_half_open = [&network](bool half_open) {
     network.registry().set_half_open(half_open);
   };
-  FaultInjector injector(hydra.sim(), config.faults, hooks);
-  injector.arm(steady_begin);
-  injector_ptr = &injector;
-  tracker.set_windows(injector.windows());
-  if (recorder) {
-    for (const FaultEvent& event : config.faults.events) {
-      const SimTime base =
-          event.anchor == FaultAnchor::kSteady ? steady_begin : 0;
-      recorder->add_chaos(std::string(to_string(event.kind)), base + event.at,
-                          base + event.at + event.duration);
-    }
-    recorder->set_sampler([&results, &hydra, &network, &subscribers,
-                           prof = memprof.get(),
-                           replay = config.replay.enabled](
-                              obs::Timeline& timeline) {
-      timeline.gauge("sent").set(
-          static_cast<double>(results.metrics.sent()));
-      timeline.gauge("received").set(
-          static_cast<double>(results.metrics.received()));
-      timeline.gauge("kernel_events").set(
-          static_cast<double>(hydra.sim().kernel_stats().events_executed));
-      timeline.gauge("kernel_queue_depth").set(
-          static_cast<double>(hydra.sim().queue_size()));
-      timeline.gauge("lan_in_flight").set(
-          static_cast<double>(hydra.lan().datagrams_in_flight()));
-      timeline.gauge("lan_dropped").set(
-          static_cast<double>(hydra.lan().datagrams_dropped()));
-      std::uint64_t tuples_streamed = 0;
-      std::uint64_t batches_sent = 0;
-      for (int i = 0; i < network.producer_service_count(); ++i) {
-        const auto& stats = network.producer_service(i).stats();
-        tuples_streamed += stats.tuples_streamed;
-        batches_sent += stats.batches_sent;
-      }
-      std::uint64_t batches_received = 0;
-      std::uint64_t tuples_matched = 0;
-      std::uint64_t polls_served = 0;
-      for (int i = 0; i < network.consumer_service_count(); ++i) {
-        const auto& stats = network.consumer_service(i).stats();
-        batches_received += stats.batches_received;
-        tuples_matched += stats.tuples_matched;
-        polls_served += stats.polls_served;
-      }
-      timeline.gauge("pp_tuples_streamed")
-          .set(static_cast<double>(tuples_streamed));
-      timeline.gauge("pp_batches_sent")
-          .set(static_cast<double>(batches_sent));
-      timeline.gauge("cs_batches_received")
-          .set(static_cast<double>(batches_received));
-      timeline.gauge("cs_tuples_matched")
-          .set(static_cast<double>(tuples_matched));
-      timeline.gauge("cs_polls_served")
-          .set(static_cast<double>(polls_served));
-      if (prof != nullptr) {
-        prof->set(obs::MemCategory::kKernelSlab,
-                  static_cast<std::int64_t>(
-                      hydra.sim().kernel_stats().slab_bytes));
-        timeline.gauge("mem_rgma_tuples")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kRgmaTuples)));
-        timeline.gauge("mem_net_connections")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kNetConnections)));
-        timeline.gauge("mem_kernel_slab")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kKernelSlab)));
-        timeline.gauge("mem_predicate_cache")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kPredicateCache)));
-        timeline.gauge("mem_total")
-            .set(static_cast<double>(prof->live_total()));
-      }
-      if (replay) {
-        std::uint64_t backfill_tuples = 0;
-        std::int64_t backfill_bytes = 0;
-        for (const auto& sub : subscribers) {
-          backfill_tuples += sub->backfill_tuples();
-          backfill_bytes += sub->backfill_bytes();
-        }
-        timeline.gauge("backfill_msgs")
-            .set(static_cast<double>(backfill_tuples));
-        timeline.gauge("backfill_bytes")
-            .set(static_cast<double>(backfill_bytes));
-        if (prof != nullptr) {
-          timeline.gauge("mem_history")
-              .set(static_cast<double>(
-                  prof->live(obs::MemCategory::kHistory)));
-        }
-      }
-    });
-    recorder->arm(kStartTime);
-  }
-  std::vector<std::unique_ptr<cluster::VmstatSampler>> mem_samplers;
-  std::vector<std::unique_ptr<cluster::VmstatSampler>> cpu_samplers;
-  for (int host : server_hosts) {
-    mem_samplers.push_back(
-        std::make_unique<cluster::VmstatSampler>(hydra.host(host)));
-    cpu_samplers.push_back(
-        std::make_unique<cluster::VmstatSampler>(hydra.host(host)));
-    auto* mem = mem_samplers.back().get();
-    auto* cpu = cpu_samplers.back().get();
-    hydra.sim().schedule_at(kStartTime, [mem] { mem->start(); });
-    hydra.sim().schedule_at(steady_begin, [cpu] { cpu->start(); });
-    hydra.sim().schedule_at(measure_end, [mem, cpu] {
-      mem->stop();
-      cpu->stop();
-    });
-  }
 
   const SimTime drain = units::seconds(30) + config.secondary_delay +
                         (config.via_secondary_producer ? units::seconds(30)
                                                        : SimTime{0});
-  const SimTime horizon = measure_end + drain;
-  hydra.sim().run_until(horizon);
+  Results results = harness.run(
+      config.faults, std::move(hooks), server_hosts,
+      {Harness::steady_begin(config.fleet), config.duration, drain});
 
-  double idle_sum = 0.0;
-  std::int64_t mem_sum = 0;
-  for (auto& sampler : cpu_samplers) idle_sum += sampler->mean_cpu_idle();
-  for (auto& sampler : mem_samplers) mem_sum += sampler->memory_consumption();
-  results.servers.cpu_idle_pct =
-      idle_sum / static_cast<double>(cpu_samplers.size());
-  results.servers.memory_bytes =
-      mem_sum / static_cast<std::int64_t>(mem_samplers.size());
-  for (int host : server_hosts) {
-    results.wire_bytes += hydra.lan().bytes_to_node(host);
-  }
-  results.refused = results.metrics.refused_connections();
-  results.refused_in_faults = refused_in_faults;
-  results.completed = !results.hit_oom_wall();
-  results.kernel = hydra.sim().kernel_stats();
-  if (memprof) {
-    memprof->set(obs::MemCategory::kKernelSlab,
-                 static_cast<std::int64_t>(results.kernel.slab_bytes));
-    results.mem = memprof->summary();
-  }
-
-  // Availability: classify undelivered rows against the fault windows
-  // (order-independent sums), then fold in recovery effort.
-  for (const auto& [key, sent] : in_flight) {
-    tracker.classify_loss(sent.before_sending);
-  }
-  results.availability = tracker.finalise(horizon);
-  results.availability.fault_events = injector.injected();
-  results.availability.delivered_late = results.metrics.delivered_late();
   results.availability.reregistrations =
       network.registry().reregistrations();
   for (const auto& gen : fleet) {
@@ -632,7 +337,6 @@ Results run_rgma_experiment(const RgmaConfig& config) {
     results.availability.backfill_msgs += sub->backfill_tuples();
     results.availability.backfill_bytes += sub->backfill_bytes();
   }
-  if (recorder) results.obs = recorder->finish(horizon);
   return results;
 }
 
