@@ -26,26 +26,15 @@
 //       metrics use --tolerance (default 2%), wall-clock metrics the looser
 //       advisory --timing-tolerance (default 10%). Exits 1 on regression,
 //       2 when the documents cannot be compared (schema mismatch).
-//
-//   gridmon_cli narada [--connections N] [--transport tcp|nio|udp]
-//               [--ack auto|client] [--brokers N] [--minutes M]
-//               [--pad BYTES] [--persistent] [--routing-fix] [--seed S]
-//               [--csv]
-//   gridmon_cli rgma   [--connections N] [--distributed] [--secondary]
-//               [--sp-delay SECONDS] [--no-warmup] [--secure] [--legacy]
-//               [--minutes M] [--seed S] [--csv]
-//       Ad-hoc single runs with explicit knobs (the original interface).
-//
-// Prints the paper's metric set for the chosen configuration; --csv emits a
-// machine-readable line per run instead.
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -68,155 +57,21 @@ namespace {
       "           [--minutes M | --quick] [--csv|--json] [--slo]\n"
       "           [--trace-out DIR] [--series-out DIR]\n"
       "       %s diff <baseline.json> <candidate.json> [--json]\n"
-      "           [--tolerance PCT] [--timing-tolerance PCT]\n"
-      "       %s narada|rgma [options]\n"
-      "  common: --connections N --minutes M --seed S --csv\n"
-      "  narada: --transport tcp|nio|udp --ack auto|client\n"
-      "          --brokers N --pad BYTES --persistent --routing-fix\n"
-      "  rgma:   --distributed --secondary --sp-delay S --no-warmup\n"
-      "          --secure --legacy\n",
-      argv0, argv0, argv0, argv0);
+      "           [--tolerance PCT] [--timing-tolerance PCT]\n",
+      argv0, argv0, argv0);
   std::exit(2);
 }
 
-struct Args {
-  int connections = 400;
-  int minutes = 5;
-  std::uint64_t seed = 1;
-  bool csv = false;
-  // narada
-  narada::TransportKind transport = narada::TransportKind::kTcp;
-  jms::AcknowledgeMode ack = jms::AcknowledgeMode::kAutoAcknowledge;
-  int brokers = 1;
-  std::int64_t pad = 0;
-  bool persistent = false;
-  bool routing_fix = false;
-  // rgma
-  bool distributed = false;
-  bool secondary = false;
-  int sp_delay_s = 30;
-  bool no_warmup = false;
-  bool secure = false;
-  bool legacy = false;
-};
-
-long long need_value(int argc, char** argv, int& i) {
+/// The integer after flag argv[i]; anything but a whole decimal number in
+/// int range is a usage error.
+int int_value(int argc, char** argv, int& i) {
   if (i + 1 >= argc) usage(argv[0]);
-  return std::atoll(argv[++i]);
-}
-
-Args parse(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--connections") {
-      args.connections = static_cast<int>(need_value(argc, argv, i));
-    } else if (flag == "--minutes") {
-      args.minutes = static_cast<int>(need_value(argc, argv, i));
-    } else if (flag == "--seed") {
-      args.seed = static_cast<std::uint64_t>(need_value(argc, argv, i));
-    } else if (flag == "--csv") {
-      args.csv = true;
-    } else if (flag == "--transport") {
-      if (i + 1 >= argc) usage(argv[0]);
-      const std::string kind = argv[++i];
-      if (kind == "tcp") {
-        args.transport = narada::TransportKind::kTcp;
-      } else if (kind == "nio") {
-        args.transport = narada::TransportKind::kNio;
-      } else if (kind == "udp") {
-        args.transport = narada::TransportKind::kUdp;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (flag == "--ack") {
-      if (i + 1 >= argc) usage(argv[0]);
-      args.ack = std::strcmp(argv[++i], "client") == 0
-                     ? jms::AcknowledgeMode::kClientAcknowledge
-                     : jms::AcknowledgeMode::kAutoAcknowledge;
-    } else if (flag == "--brokers") {
-      args.brokers = static_cast<int>(need_value(argc, argv, i));
-    } else if (flag == "--pad") {
-      args.pad = need_value(argc, argv, i);
-    } else if (flag == "--persistent") {
-      args.persistent = true;
-    } else if (flag == "--routing-fix") {
-      args.routing_fix = true;
-    } else if (flag == "--distributed") {
-      args.distributed = true;
-    } else if (flag == "--secondary") {
-      args.secondary = true;
-    } else if (flag == "--sp-delay") {
-      args.sp_delay_s = static_cast<int>(need_value(argc, argv, i));
-    } else if (flag == "--no-warmup") {
-      args.no_warmup = true;
-    } else if (flag == "--secure") {
-      args.secure = true;
-    } else if (flag == "--legacy") {
-      args.legacy = true;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  return args;
-}
-
-void report(const core::Results& results, bool csv, const std::string& label) {
-  if (csv) {
-    std::printf(
-        "%s,%llu,%llu,%.4f,%.3f,%.3f,%.1f,%.1f,%.1f,%.1f,%lld,%llu\n",
-        label.c_str(),
-        static_cast<unsigned long long>(results.metrics.sent()),
-        static_cast<unsigned long long>(results.metrics.received()),
-        results.metrics.loss_rate() * 100.0, results.metrics.rtt_mean_ms(),
-        results.metrics.rtt_stddev_ms(),
-        results.metrics.rtt_percentile_ms(95),
-        results.metrics.rtt_percentile_ms(99),
-        results.metrics.rtt_percentile_ms(100),
-        results.servers.cpu_idle_pct,
-        static_cast<long long>(results.servers.memory_bytes / units::MiB),
-        static_cast<unsigned long long>(results.refused));
-    return;
-  }
-  util::TextTable table({"metric", "value"});
-  table.add_row({"configuration", label});
-  table.add_row({"sent / received",
-                 std::to_string(results.metrics.sent()) + " / " +
-                     std::to_string(results.metrics.received())});
-  table.add_row({"loss (%)", util::TextTable::format(
-                                 results.metrics.loss_rate() * 100.0, 4)});
-  table.add_row({"RTT mean / stddev (ms)",
-                 util::TextTable::format(results.metrics.rtt_mean_ms()) +
-                     " / " +
-                     util::TextTable::format(results.metrics.rtt_stddev_ms())});
-  table.add_row({"RTT p95 / p99 / p100 (ms)",
-                 util::TextTable::format(results.metrics.rtt_percentile_ms(95),
-                                         1) +
-                     " / " +
-                     util::TextTable::format(
-                         results.metrics.rtt_percentile_ms(99), 1) +
-                     " / " +
-                     util::TextTable::format(
-                         results.metrics.rtt_percentile_ms(100), 1)});
-  table.add_row(
-      {"PRT / PT / SRT (ms)",
-       util::TextTable::format(results.metrics.prt_ms().mean()) + " / " +
-           util::TextTable::format(results.metrics.pt_ms().mean()) + " / " +
-           util::TextTable::format(results.metrics.srt_ms().mean())});
-  table.add_row({"server CPU idle (%)",
-                 util::TextTable::format(results.servers.cpu_idle_pct, 1)});
-  table.add_row({"server memory (MB)",
-                 std::to_string(results.servers.memory_bytes / units::MiB)});
-  table.add_row({"refused connections", std::to_string(results.refused)});
-  if (results.metrics.prt_unknown() > 0) {
-    // PRT cannot be decomposed for these samples (client clock gave the
-    // same before/after-sending stamp); they are excluded from the PRT
-    // mean above instead of skewing it toward zero.
-    table.add_row({"PRT unknown (samples)",
-                   std::to_string(results.metrics.prt_unknown())});
-  }
-  table.add_row({"grade (Table III)", core::grade_realtime(results)});
-  std::printf("%s", table.render().c_str());
+  const std::string_view text = argv[++i];
+  int value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc{} || end != text.data() + text.size()) usage(argv[0]);
+  return value;
 }
 
 /// "chaos/narada/broker_crash" -> "chaos_narada_broker_crash__seed3".
@@ -304,11 +159,11 @@ int cmd_run(int argc, char** argv) {
     if (flag == "--slo") {
       slo = true;
     } else if (flag == "--seeds") {
-      options.seeds = static_cast<int>(need_value(argc, argv, i));
+      options.seeds = int_value(argc, argv, i);
     } else if (flag == "--jobs") {
-      options.jobs = static_cast<int>(need_value(argc, argv, i));
+      options.jobs = int_value(argc, argv, i);
     } else if (flag == "--minutes") {
-      minutes = static_cast<int>(need_value(argc, argv, i));
+      minutes = int_value(argc, argv, i);
     } else if (flag == "--quick") {
       minutes = 2;
     } else if (flag == "--csv") {
@@ -646,48 +501,5 @@ int main(int argc, char** argv) {
   if (system == "list") return cmd_list(argc, argv);
   if (system == "run") return cmd_run(argc, argv);
   if (system == "diff") return cmd_diff(argc, argv);
-  const Args args = parse(argc, argv);
-
-  if (system == "narada") {
-    core::NaradaConfig config;
-    config.fleet.generators = args.connections;
-    config.duration = units::minutes(args.minutes);
-    config.seed = args.seed;
-    config.transport = args.transport;
-    config.ack_mode = args.ack;
-    config.fleet.pad_bytes = args.pad;
-    config.subscription_aware_routing = args.routing_fix;
-    if (args.persistent) {
-      config.delivery_mode = jms::DeliveryMode::kPersistent;
-    }
-    config.broker_hosts.clear();
-    for (int b = 0; b < args.brokers; ++b) config.broker_hosts.push_back(b);
-    const std::string label =
-        "narada/" + narada::to_string(config.transport) + "/" +
-        std::to_string(args.connections) + "conn/" +
-        std::to_string(args.brokers) + "broker";
-    report(core::run_narada_experiment(config), args.csv, label);
-    return 0;
-  }
-  if (system == "rgma") {
-    core::RgmaConfig config;
-    config.fleet.generators = args.connections;
-    config.duration = units::minutes(args.minutes);
-    config.seed = args.seed;
-    config.distributed = args.distributed;
-    config.via_secondary_producer = args.secondary;
-    config.secondary_delay = units::seconds(args.sp_delay_s);
-    config.secure = args.secure;
-    config.legacy_stream_api = args.legacy;
-    if (args.no_warmup) {
-      config.fleet.warmup_min = 0;
-      config.fleet.warmup_max = 0;
-    }
-    const std::string label = std::string("rgma/") +
-                              (args.distributed ? "distributed" : "single") +
-                              "/" + std::to_string(args.connections) + "conn";
-    report(core::run_rgma_experiment(config), args.csv, label);
-    return 0;
-  }
   usage(argv[0]);
 }

@@ -1,11 +1,8 @@
-// Tests for registry soft-state expiry/renewal and the trace writer.
+// Tests for registry soft-state expiry/renewal.
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "cluster/hydra.hpp"
 #include "core/payloads.hpp"
-#include "core/trace.hpp"
 #include "rgma/api.hpp"
 #include "rgma/network.hpp"
 
@@ -61,40 +58,6 @@ TEST_F(SoftStateFixture, TtlDisabledKeepsEverythingForever) {
   producer.declare(nullptr);
   hydra.sim().run_until(units::minutes(10));
   EXPECT_EQ(network.registry().producer_count(), 1);
-}
-
-TEST(TraceWriter, CsvRoundTrip) {
-  core::TraceWriter trace;
-  trace.add(core::TraceRecord{7, 0, units::milliseconds(10),
-                              units::milliseconds(11), units::milliseconds(14),
-                              units::milliseconds(15)});
-  trace.add(core::TraceRecord{7, 1, units::milliseconds(20),
-                              units::milliseconds(21), units::milliseconds(30),
-                              units::milliseconds(32)});
-  EXPECT_EQ(trace.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.records()[0].rtt_ms(), 5.0);
-  EXPECT_DOUBLE_EQ(trace.records()[1].rtt_ms(), 12.0);
-
-  const std::string csv = trace.render_csv();
-  EXPECT_NE(csv.find("generator_id,sequence"), std::string::npos);
-  EXPECT_NE(csv.find("7,0,10000,11000,14000,15000,5.000"), std::string::npos);
-  EXPECT_NE(csv.find("7,1,20000,21000,30000,32000,12.000"),
-            std::string::npos);
-
-  const std::string path = "/tmp/gridmon_trace_test.csv";
-  ASSERT_TRUE(trace.write_csv(path));
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  ASSERT_NE(file, nullptr);
-  char buffer[4096] = {};
-  const std::size_t read = std::fread(buffer, 1, sizeof(buffer) - 1, file);
-  std::fclose(file);
-  std::remove(path.c_str());
-  EXPECT_EQ(std::string(buffer, read), csv);
-}
-
-TEST(TraceWriter, WriteFailureReportsFalse) {
-  core::TraceWriter trace;
-  EXPECT_FALSE(trace.write_csv("/nonexistent-dir/trace.csv"));
 }
 
 }  // namespace
