@@ -1,12 +1,15 @@
-// Experiment harness: the paper's test campaign as a library.
+// Experiment configs and entry points: the paper's test campaign as a
+// library.
 //
 // A Narada experiment stands up brokers (single or DBN) on the Hydra model,
 // a fleet of simulated power generators (one client connection each, the
 // paper's "concurrent connections"), and subscriber programs; an R-GMA
 // experiment stands up registry/producer/consumer services, producer
 // clients, and a polling subscriber, optionally routing through a Secondary
-// Producer. Both return the same Results bundle the paper's figures are
-// drawn from.
+// Producer; an MQTT experiment runs the same fleet against one broker.
+// The hierarchical tier (core/hier_experiment.hpp) is the fourth. All four
+// run under one test procedure (core/harness.hpp) and return the same
+// Results bundle the paper's figures are drawn from.
 #pragma once
 
 #include <cstdint>

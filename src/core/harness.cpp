@@ -97,7 +97,9 @@ Results Harness::run(const FaultPlan& plan, FaultHooks hooks,
   // Fault injection: every event fires at a fixed virtual time, so chaos
   // runs are as deterministic as fault-free ones.
   net::Lan& lan = hydra_.lan();
-  hooks.set_nic = [&lan](int node, bool down) { lan.set_node_down(node, down); };
+  hooks.set_nic = [&lan](int node, bool down) {
+    lan.set_node_down(node, down);
+  };
   hooks.set_loss = [&lan, base = base_loss_](double p, bool active) {
     lan.set_datagram_loss(active ? p : base);
   };
@@ -156,34 +158,33 @@ Results Harness::run(const FaultPlan& plan, FaultHooks hooks,
 
   sim().run_until(horizon);
 
-  Results& results = results_;
   double idle_sum = 0.0;
   std::int64_t mem_sum = 0;
   for (auto& sampler : cpu_samplers) idle_sum += sampler->mean_cpu_idle();
   for (auto& sampler : mem_samplers) mem_sum += sampler->memory_consumption();
-  results.servers.cpu_idle_pct =
+  results_.servers.cpu_idle_pct =
       idle_sum / static_cast<double>(cpu_samplers.size());
-  results.servers.memory_bytes =
+  results_.servers.memory_bytes =
       mem_sum / static_cast<std::int64_t>(mem_samplers.size());
-  for (int host : server_hosts) results.wire_bytes += lan.bytes_to_node(host);
-  results.refused = results.metrics.refused_connections();
-  results.refused_in_faults = refused_in_faults_;
-  results.completed = !results.hit_oom_wall();
-  results.kernel = sim().kernel_stats();
+  for (int host : server_hosts) results_.wire_bytes += lan.bytes_to_node(host);
+  results_.refused = results_.metrics.refused_connections();
+  results_.refused_in_faults = refused_in_faults_;
+  results_.completed = !results_.hit_oom_wall();
+  results_.kernel = sim().kernel_stats();
   if (memprof_) {
     memprof_->set(obs::MemCategory::kKernelSlab,
-                  static_cast<std::int64_t>(results.kernel.slab_bytes));
-    results.mem = memprof_->summary();
+                  static_cast<std::int64_t>(results_.kernel.slab_bytes));
+    results_.mem = memprof_->summary();
   }
 
   // Availability: classify every undelivered send against the fault
   // windows (the sums are order-independent); the caller folds in its
   // recovery effort.
   for (const auto& classify : outstanding_) classify();
-  results.availability = tracker_.finalise(horizon);
-  results.availability.fault_events = injector_->injected();
-  results.availability.delivered_late = results.metrics.delivered_late();
-  if (recorder_) results.obs = recorder_->finish(horizon);
+  results_.availability = tracker_.finalise(horizon);
+  results_.availability.fault_events = injector_->injected();
+  results_.availability.delivered_late = results_.metrics.delivered_late();
+  if (recorder_) results_.obs = recorder_->finish(horizon);
   return std::move(results_);
 }
 

@@ -199,7 +199,8 @@ class Regional {
     std::int64_t generated = 0;
     hier::EdgeFrame frame = edges_[i].close_window(window, generated);
     if (generated > 0) {
-      run_.harness.metrics().count_sent(static_cast<std::uint64_t>(generated));
+      run_.harness.metrics().count_sent(
+          static_cast<std::uint64_t>(generated));
     }
     if (frame.collected > 0) aggregator_.deliver(std::move(frame));
     if (next_window_[i] < run_.tree.windows) {
