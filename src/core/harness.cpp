@@ -11,8 +11,6 @@ Harness::Harness(const cluster::HydraConfig& hydra_config,
   results_.generators = generators;
 }
 
-Harness::~Harness() = default;
-
 SimTime Harness::steady_begin(const FleetConfig& fleet) {
   return kStartTime + fleet.creation_interval * fleet.generators +
          fleet.warmup_max;

@@ -76,7 +76,6 @@ class Harness {
   static constexpr SimTime kStartTime = units::seconds(1);
 
   Harness(const cluster::HydraConfig& hydra_config, std::int64_t generators);
-  ~Harness();
   Harness(const Harness&) = delete;
   Harness& operator=(const Harness&) = delete;
 
@@ -148,6 +147,10 @@ class Harness {
 /// warm-up, then publish once per period, duration / period times in all.
 class PublishLoop {
  public:
+  PublishLoop() = default;
+  PublishLoop(const PublishLoop&) = delete;  // scheduled events hold `this`
+  PublishLoop& operator=(const PublishLoop&) = delete;
+
   void start(sim::Simulation& sim, SimTime warmup, const FleetConfig& fleet,
              SimTime duration, std::function<void()> publish);
 

@@ -11,6 +11,16 @@ namespace {
 constexpr SimTime kDrainTime = units::seconds(60);
 constexpr const char* kTopic = "powergrid/monitoring";
 
+[[nodiscard]] narada::ReconnectPolicy reconnect_policy(
+    const FleetConfig& fleet) {
+  narada::ReconnectPolicy policy;
+  policy.enabled = fleet.recovery;
+  policy.backoff_initial = fleet.backoff_initial;
+  policy.backoff_max = fleet.backoff_max;
+  policy.jitter = fleet.backoff_jitter;
+  return policy;
+}
+
 /// One simulated power generator: owns a client connection and publishes
 /// readings on its period. Mirrors §III.E: created on a stagger, sleeps a
 /// random 10–20 s so publications spread evenly, then publishes every 10 s.
@@ -30,12 +40,7 @@ class Generator {
         hydra.host(host), hydra.lan(), hydra.streams(), broker,
         net::Endpoint{host, port}, config.transport);
     if (config.fleet.recovery) {
-      narada::ReconnectPolicy policy;
-      policy.enabled = true;
-      policy.backoff_initial = config.fleet.backoff_initial;
-      policy.backoff_max = config.fleet.backoff_max;
-      policy.jitter = config.fleet.backoff_jitter;
-      client_->set_reconnect_policy(policy);
+      client_->set_reconnect_policy(reconnect_policy(config.fleet));
     }
   }
 
@@ -161,13 +166,7 @@ Results run_narada_experiment(const NaradaConfig& config) {
       in_flight.deliver(message->message_id, arrived_at);
     };
   };
-  narada::ReconnectPolicy subscriber_policy;
-  if (config.fleet.recovery) {
-    subscriber_policy.enabled = true;
-    subscriber_policy.backoff_initial = config.fleet.backoff_initial;
-    subscriber_policy.backoff_max = config.fleet.backoff_max;
-    subscriber_policy.jitter = config.fleet.backoff_jitter;
-  }
+  narada::ReconnectPolicy subscriber_policy = reconnect_policy(config.fleet);
   if (config.replay.enabled && multi_broker) {
     // Fail-over targets: every other broker in the network. Replication
     // means any of them can serve the subscriber's stream and its backfill.
