@@ -5,7 +5,9 @@
 #include "hier/aggregator.hpp"
 
 #include <map>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -189,6 +191,86 @@ TEST(AggregatorTest, SubPeriodWindowsEnumerateEachSampleExactlyOnce) {
   }
 }
 
+using Sample = std::tuple<std::int64_t, std::int64_t, SimTime, bool>;
+
+/// The division-based window walk for_each_sample() must reproduce: two
+/// 64-bit divisions per (generator, window), with the floor on the last
+/// index that keeps sub-period windows from pulling in sample 0.
+std::vector<Sample> reference_walk(const TreeConfig& tree, std::int64_t edge,
+                                   std::int64_t window) {
+  std::vector<Sample> out;
+  const SimTime w = tree.spec.edge.window;
+  const SimTime period = tree.spec.sample_period;
+  const SimTime begin = window * w;
+  const SimTime end = begin + w;
+  for (std::int64_t g = tree.shape.generator_begin(edge),
+                    last = tree.shape.generator_end(edge);
+       g < last; ++g) {
+    const SimTime phase = tree.fleet->phase(g);
+    std::int64_t lo = (begin - phase + period - 1) / period;
+    if (lo < 0) lo = 0;
+    const std::int64_t num = end - phase - 1;
+    const std::int64_t hi = num >= 0 ? num / period : -1;
+    for (std::int64_t i = lo; i <= hi; ++i) {
+      out.emplace_back(g, i, tree.epoch + i * period + phase,
+                       tree.fleet->sample_lost(g, i));
+    }
+  }
+  return out;
+}
+
+TEST(AggregatorTest, WindowWalkMatchesDivisionReference) {
+  // Periods below and above 2^32 ns (phase() wraps there), windows that
+  // are shorter than, do not divide, equal and exceed the period, lossy
+  // and lossless links, and a ragged last edge of 5 generators.
+  const SimTime kPeriods[] = {units::milliseconds(20), units::seconds(1),
+                              units::seconds(4), units::seconds(10)};
+  const double kLosses[] = {0.0, 0.1};
+  std::int64_t empty_early_windows = 0;
+  for (const SimTime period : kPeriods) {
+    const SimTime kWindows[] = {units::seconds(2), units::seconds(3), period,
+                                units::seconds(25)};
+    for (const SimTime window : kWindows) {
+      for (const double loss : kLosses) {
+        TopologySpec spec;
+        spec.generators = 45;
+        spec.edge.fan_in = 10;
+        spec.regional.fan_in = 5;
+        spec.sample_period = period;
+        spec.edge.window = window;
+        spec.edge.link.loss = loss;
+        const FleetState fleet(spec, 17);
+        TreeConfig tree;
+        tree.spec = spec;
+        tree.shape = spec.expand();
+        tree.fleet = &fleet;
+        tree.epoch = units::seconds(1);
+        // Cover at least two sample periods from window 0 on.
+        const std::int64_t windows = 2 * period / window + 2;
+        for (std::int64_t e = 0; e < tree.shape.edges; ++e) {
+          for (std::int64_t w = 0; w < windows; ++w) {
+            const std::vector<Sample> expected = reference_walk(tree, e, w);
+            std::vector<Sample> actual;
+            tree.for_each_sample(e, w, [&](std::int64_t g, std::int64_t k,
+                                           SimTime send, bool lost) {
+              actual.emplace_back(g, k, send, lost);
+            });
+            ASSERT_EQ(actual, expected)
+                << "period " << period << " window " << window << " loss "
+                << loss << " edge " << e << " w " << w;
+            // Windows that close before some generator's first sample.
+            for (std::int64_t g = tree.shape.generator_begin(e);
+                 g < tree.shape.generator_end(e); ++g) {
+              if ((w + 1) * window <= fleet.phase(g)) ++empty_early_windows;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(empty_early_windows, 0);
+}
+
 TEST(AggregatorTest, EdgeWindowCollectsExactlyThePhasedSamples) {
   // One edge window per sample period: every generator contributes exactly
   // one sample per window, and the mean aggregate matches a manual fold
@@ -309,6 +391,27 @@ TEST(HierExperimentTest, FullFleetDeliversEverySample) {
   EXPECT_TRUE(results.completed);
   EXPECT_GT(results.metrics.sent(), 0u);
   EXPECT_EQ(results.metrics.sent(), results.metrics.received());
+}
+
+// Edge and regional windows (6 s each) long enough that a frame's oldest
+// samples miss the 5 s deadline while its newest make it: the only run
+// shape where the root's late count falls strictly between 0 and the
+// received count. The counts are pinned from the division-based walk.
+TEST(HierExperimentTest, LongWindowsMakeSomeButNotAllSamplesLate) {
+  core::HierConfig config;
+  config.backend = core::HierBackend::kNarada;
+  config.topology = small_spec();
+  config.topology.edge.window = units::seconds(6);
+  config.topology.regional.window = units::seconds(6);
+  config.topology.edge.link.loss = 0.1;
+  config.duration = units::minutes(1);
+  const core::Results results = core::run_hier_experiment(config);
+  const core::Metrics& metrics = results.metrics;
+  EXPECT_GT(metrics.delivered_late(), 0u);
+  EXPECT_LT(metrics.delivered_late(), metrics.received());
+  EXPECT_EQ(metrics.sent(), 2400u);
+  EXPECT_EQ(metrics.received(), 2163u);
+  EXPECT_EQ(metrics.delivered_late(), 435u);
 }
 
 }  // namespace
