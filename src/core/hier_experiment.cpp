@@ -76,22 +76,15 @@ struct HierRun {
 
 /// Root-side accounting for one delivered frame. The harness has recorded
 /// the oldest sample (keeping the RTT distribution honest about
-/// staleness); the remaining samples are recomputed from the flyweight
-/// state so the received/late counters stay per-sample.
+/// staleness); the frame's collected count and hier::late_samples() cover
+/// the rest, so the received/late counters stay per-sample without walking
+/// the samples a second time.
 void account_samples(HierRun& run, const FrameRecord& record) {
   const SimTime now = run.harness.sim().now();
   constexpr SimTime kDeadline = units::seconds(5);
-  std::int64_t collected = 0;
-  std::uint64_t late = 0;
-  for (const hier::EdgeFrame& segment : record.frame.segments) {
-    run.tree.for_each_sample(
-        segment.edge, segment.window,
-        [&](std::int64_t, std::int64_t, SimTime send, bool lost) {
-          if (lost) return;
-          ++collected;
-          if (now - send > kDeadline) ++late;
-        });
-  }
+  const std::int64_t collected = record.frame.collected;
+  const auto late = static_cast<std::uint64_t>(
+      hier::late_samples(run.tree, record.frame, now - kDeadline));
   Metrics& metrics = run.harness.metrics();
   if (collected > 0) {
     metrics.count_received(static_cast<std::uint64_t>(collected - 1));

@@ -8,9 +8,10 @@
 // samples at window close (src/hier/aggregator.hpp), so the same campaign
 // machinery sweeps 10k → 1M generators. The backend still carries real
 // modelled traffic — every regional publish is a full middleware message
-// with the frame's modelled wire size — and the root recomputes per-sample
-// deadline/loss accounting from the same flyweight state, so Metrics stays
-// per-sample even though only frames cross the wire.
+// with the frame's modelled wire size — and the root counts received and
+// late samples from each frame's per-edge collected counts and send-time
+// bounds (hier::late_samples), so Metrics stays per-sample even though
+// only frames cross the wire.
 #pragma once
 
 #include "core/experiment.hpp"

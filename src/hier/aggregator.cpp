@@ -77,6 +77,24 @@ EdgeFrame EdgeAggregator::close_window(std::int64_t window,
   return frame;
 }
 
+std::int64_t late_samples(const TreeConfig& tree, const UpstreamFrame& frame,
+                          SimTime cutoff) {
+  std::int64_t late = 0;
+  for (const EdgeFrame& segment : frame.segments) {
+    if (cutoff <= segment.oldest_send) continue;
+    if (cutoff >= tree.window_end(segment.window)) {
+      late += segment.collected;
+      continue;
+    }
+    tree.for_each_sample(
+        segment.edge, segment.window,
+        [&](std::int64_t, std::int64_t, SimTime send, bool lost) {
+          if (!lost && send < cutoff) ++late;
+        });
+  }
+  return late;
+}
+
 void RegionalAggregator::deliver(EdgeFrame frame) {
   obs::mem_add(obs::MemCategory::kHier, pending_cost(frame));
   pending_.push_back(std::move(frame));

@@ -12,10 +12,12 @@
 // in the experiment harness; the regional hands it finished UpstreamFrames
 // through a callback, so this layer depends on nothing middleware-specific.
 //
-// Accounting contract: the root recomputes each frame's constituent
-// samples with the same for_each_sample() walk the edge used, so the two
-// sides agree on exactly which samples a frame covers without shipping or
-// storing any of them.
+// Accounting contract: each EdgeFrame carries the collected count and the
+// oldest send time of the samples for_each_sample() enumerated at the edge.
+// The root takes received counts straight from the frames and gets the
+// late count from late_samples(), which settles a segment from those two
+// fields and the window bounds and re-walks only a segment the deadline
+// cutoff falls inside. No sample is ever shipped or stored.
 #pragma once
 
 #include <cstdint>
@@ -53,32 +55,39 @@ struct TreeConfig {
   /// Walk every sample of edge `edge` whose send time falls inside edge
   /// window `window` — including the ones lost on the generator→edge link
   /// (`fn(generator, sample_index, send_time, lost)`). Samples are
-  /// enumerated in (generator, index) order on both the edge and the root
-  /// side.
+  /// enumerated in (generator, index) order.
   template <typename Fn>
   void for_each_sample(std::int64_t edge, std::int64_t window, Fn&& fn) const {
-    const SimTime w = spec.edge.window;
     const SimTime period = spec.sample_period;
-    const SimTime begin = window * w;        // relative to epoch
-    const SimTime end = begin + w;
+    // Sample i of generator g is sent at epoch + i*period + phase(g); find
+    // the i range landing in [begin, end) relative to the epoch. Split
+    // both bounds by the period once per window: begin = qb*period + rb
+    // and end - 1 = qe*period + re. Since 0 <= phase < period, sample qb
+    // is in range iff phase >= rb and sample qe iff phase <= re, so each
+    // generator's range costs two compares instead of two divisions. hi
+    // comes out as -1 for a window before the generator's first sample.
+    const SimTime begin = window * spec.edge.window;
+    const SimTime last_ns = begin + spec.edge.window - 1;
+    const std::int64_t qb = begin / period;
+    const SimTime rb = begin % period;
+    const std::int64_t qe = last_ns / period;
+    const SimTime re = last_ns % period;
     for (std::int64_t g = shape.generator_begin(edge),
                       last = shape.generator_end(edge);
          g < last; ++g) {
       const SimTime phase = fleet->phase(g);
-      // Sample i of generator g is sent at epoch + i*period + phase; find
-      // the i range landing in [begin, end).
-      std::int64_t lo = (begin - phase + period - 1) / period;
-      if (lo < 0) lo = 0;
-      // Floor division: with sub-period windows `end - phase - 1` goes
-      // negative for every window preceding the generator's first sample,
-      // and truncation toward zero would pull sample 0 into all of them.
-      // phase < period, so -1 is the only negative floor possible.
-      const std::int64_t num = end - phase - 1;
-      const std::int64_t hi = num >= 0 ? num / period : -1;
+      const std::int64_t lo = qb + (phase < rb ? 1 : 0);
+      const std::int64_t hi = qe - (phase > re ? 1 : 0);
       for (std::int64_t i = lo; i <= hi; ++i) {
         fn(g, i, epoch + i * period + phase, fleet->sample_lost(g, i));
       }
     }
+  }
+
+  /// Send time at which edge window `window` closes: every sample it
+  /// covers was sent strictly before this.
+  [[nodiscard]] SimTime window_end(std::int64_t window) const {
+    return epoch + (window + 1) * spec.edge.window;
   }
 };
 
@@ -117,14 +126,23 @@ class EdgeAggregator {
 };
 
 /// A frame the regional tier publishes upstream into the backend. Carries
-/// the covered edge frames so the root can recompute per-sample accounting.
+/// the covered edge frames so the root can count late samples per segment.
 struct UpstreamFrame {
   std::int64_t regional = 0;
   std::int64_t bytes = 0;
-  std::int64_t collected = 0;
+  std::int64_t collected = 0;  ///< sum of the segments' collected counts
   SimTime oldest_send = 0;
   std::vector<EdgeFrame> segments;
 };
+
+/// How many of the samples `frame` carries were sent before `cutoff` (the
+/// root's delivery time minus the deadline). A segment whose oldest sample
+/// is at or after the cutoff has none late; a segment whose window closed
+/// at or before it is late in full. Only a segment the cutoff falls inside
+/// is re-walked with for_each_sample(), so the count is exact per sample.
+[[nodiscard]] std::int64_t late_samples(const TreeConfig& tree,
+                                        const UpstreamFrame& frame,
+                                        SimTime cutoff);
 
 class RegionalAggregator {
  public:

@@ -6,9 +6,9 @@
 // seed, both u32, in two parallel arrays shared by every edge aggregator.
 // Everything else about a generator (its sample times, values, per-sample
 // loss draws) is *recomputed* from (seed, generator, sample index) on
-// demand — the edge computes it when a window closes, and the root
-// recomputes the identical values when the frame arrives, so no per-sample
-// state is ever stored or shipped.
+// demand when an edge window closes — and, for the few frames the 5 s
+// deadline cuts through, again at the root — so no per-sample state is
+// ever stored or shipped.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,12 @@ class FleetState {
   }
 
   /// Offset of generator `g`'s sample inside each sample period, in
-  /// [0, sample_period). Stored as a u32 fraction so 10 s periods fit.
+  /// [0, sample_period), stored as a u32 fraction of the period.
+  /// Known defect: `frac * period` overflows u64 once the period exceeds
+  /// 2^32 ns (~4.29 s), so the product wraps. The result still lies in
+  /// [0, period) but is not monotone in the fraction, and every 10 s
+  /// preset draws its phases from [0, 4.29 s) instead of [0, 10 s).
+  /// Fixing it moves the hier goldens, so it waits for a benchmark re-pin.
   [[nodiscard]] SimTime phase(std::int64_t g) const {
     return static_cast<SimTime>(
         (static_cast<std::uint64_t>(phase_[static_cast<std::size_t>(g)]) *

@@ -356,6 +356,87 @@ TEST(AggregatorTest, RawRegionalPassesFramesThroughReducedFoldsThem) {
   EXPECT_EQ(published[0].bytes, kFrameHeaderBytes + 2 * kAggRecordBytes);
 }
 
+/// Brute-force count of the collected samples in `frame` sent before
+/// `cutoff`, walking every segment.
+std::int64_t walk_late(const TreeConfig& tree, const UpstreamFrame& frame,
+                       SimTime cutoff) {
+  std::int64_t late = 0;
+  for (const EdgeFrame& segment : frame.segments) {
+    tree.for_each_sample(
+        segment.edge, segment.window,
+        [&](std::int64_t, std::int64_t, SimTime send, bool lost) {
+          if (!lost && send < cutoff) ++late;
+        });
+  }
+  return late;
+}
+
+TEST(AggregatorTest, RootLateCountMatchesBruteForceWalk) {
+  // Three samples per generator per edge window over a lossy link, so a
+  // cutoff can fall between the send times inside one segment.
+  for (const Reduce regional : {Reduce::kRaw, Reduce::kMean}) {
+    TopologySpec spec = small_spec();
+    spec.sample_period = units::seconds(1);
+    spec.edge.window = units::seconds(3);
+    spec.edge.link.loss = 0.1;
+    spec.regional.reduce = regional;
+    const FleetState fleet(spec, 5);
+    TreeConfig tree;
+    tree.spec = spec;
+    tree.shape = spec.expand();
+    tree.fleet = &fleet;
+    tree.epoch = units::seconds(1);
+    tree.windows = 3;
+
+    std::vector<UpstreamFrame> frames;
+    RegionalAggregator aggregator(
+        tree, 0, [&](UpstreamFrame f) { frames.push_back(std::move(f)); });
+    for (std::int64_t w = 0; w < tree.windows; ++w) {
+      for (std::int64_t e = tree.shape.edge_begin(0);
+           e < tree.shape.edge_end(0); ++e) {
+        std::int64_t generated = 0;
+        aggregator.deliver(EdgeAggregator(tree, e).close_window(w, generated));
+      }
+      aggregator.flush();
+    }
+    // Raw pass-through: one segment per frame; reduced: one frame per
+    // flush with a segment per edge.
+    ASSERT_EQ(frames.size(),
+              regional == Reduce::kRaw ? 15u : 3u);
+
+    int partial = 0;
+    for (const UpstreamFrame& frame : frames) {
+      ASSERT_EQ(frame.segments.size(), regional == Reduce::kRaw ? 1u : 5u);
+      std::vector<SimTime> cutoffs;
+      for (const EdgeFrame& segment : frame.segments) {
+        const SimTime end = tree.window_end(segment.window);
+        // Before and at the oldest sample, at the window end, past it.
+        for (SimTime c : {segment.oldest_send - 1, segment.oldest_send,
+                          end - 1, end, end + units::seconds(1)}) {
+          cutoffs.push_back(c);
+        }
+        // Inside the window: at and just after every send time.
+        tree.for_each_sample(
+            segment.edge, segment.window,
+            [&](std::int64_t, std::int64_t, SimTime send, bool) {
+              cutoffs.push_back(send);
+              cutoffs.push_back(send + 1);
+            });
+      }
+      for (const SimTime cutoff : cutoffs) {
+        const std::int64_t expected = walk_late(tree, frame, cutoff);
+        ASSERT_EQ(late_samples(tree, frame, cutoff), expected)
+            << "cutoff " << cutoff;
+        if (expected > 0 && expected < frame.collected) ++partial;
+      }
+      EXPECT_EQ(late_samples(tree, frame, frame.oldest_send), 0);
+      EXPECT_EQ(late_samples(tree, frame, tree.window_end(tree.windows)),
+                frame.collected);
+    }
+    EXPECT_GT(partial, 0);
+  }
+}
+
 // OOM wall: when the server heap refuses a regional's connection, every
 // generator in that regional's subtree is refused — not just the one
 // backend client that failed to connect (satellite: honest loss
