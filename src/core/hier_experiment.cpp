@@ -77,8 +77,7 @@ struct HierRun {
 /// Root-side accounting for one delivered frame. The harness has recorded
 /// the oldest sample (keeping the RTT distribution honest about
 /// staleness); the frame's collected count and hier::late_samples() cover
-/// the rest, so the received/late counters stay per-sample without walking
-/// the samples a second time.
+/// the rest, so the received/late counters stay per-sample.
 void account_samples(HierRun& run, const FrameRecord& record) {
   const SimTime now = run.harness.sim().now();
   constexpr SimTime kDeadline = units::seconds(5);

@@ -20,9 +20,8 @@ SimTime EdgeAggregator::close_time(std::int64_t window) const {
   // samples have arrived), then ships the frame over its edge→regional
   // link with a deterministic per-edge spread.
   const TopologySpec& spec = config_.spec;
-  return config_.epoch + (window + 1) * spec.edge.window +
-         spec.edge.link.latency + spec.edge.link.jitter +
-         spec.regional.link.latency +
+  return config_.window_end(window) + spec.edge.link.latency +
+         spec.edge.link.jitter + spec.regional.link.latency +
          TreeConfig::spread(edge_, spec.regional.link.jitter);
 }
 

@@ -64,8 +64,8 @@ struct TreeConfig {
     // both bounds by the period once per window: begin = qb*period + rb
     // and end - 1 = qe*period + re. Since 0 <= phase < period, sample qb
     // is in range iff phase >= rb and sample qe iff phase <= re, so each
-    // generator's range costs two compares instead of two divisions. hi
-    // comes out as -1 for a window before the generator's first sample.
+    // generator's range costs two compares and no division. hi comes out
+    // as -1 for a window before the generator's first sample.
     const SimTime begin = window * spec.edge.window;
     const SimTime last_ns = begin + spec.edge.window - 1;
     const std::int64_t qb = begin / period;
