@@ -4,6 +4,7 @@
 // regional subtree counts every descendant generator as refused.
 #include "hier/aggregator.hpp"
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -222,24 +223,32 @@ std::vector<Sample> reference_walk(const TreeConfig& tree, std::int64_t edge,
 TEST(AggregatorTest, WindowWalkMatchesDivisionReference) {
   // Periods below and above 2^32 ns (phase() wraps there), windows that
   // are shorter than, do not divide, equal and exceed the period, lossy
-  // and lossless links, and a ragged last edge of 5 generators.
+  // and lossless links, and a ragged last edge of 5 generators. Two more
+  // windows put the largest phase exactly on a window bound: window 1 of
+  // a `peak`-long window opens on it, and window 0 of a `peak + 1`-long
+  // one closes just after it.
   const SimTime kPeriods[] = {units::milliseconds(20), units::seconds(1),
                               units::seconds(4), units::seconds(10)};
   const double kLosses[] = {0.0, 0.1};
   std::int64_t empty_early_windows = 0;
   for (const SimTime period : kPeriods) {
-    const SimTime kWindows[] = {units::seconds(2), units::seconds(3), period,
-                                units::seconds(25)};
-    for (const SimTime window : kWindows) {
-      for (const double loss : kLosses) {
-        TopologySpec spec;
-        spec.generators = 45;
-        spec.edge.fan_in = 10;
-        spec.regional.fan_in = 5;
-        spec.sample_period = period;
+    for (const double loss : kLosses) {
+      TopologySpec spec;
+      spec.generators = 45;
+      spec.edge.fan_in = 10;
+      spec.regional.fan_in = 5;
+      spec.sample_period = period;
+      spec.edge.link.loss = loss;
+      const FleetState fleet(spec, 17);
+      SimTime peak = 0;
+      for (std::int64_t g = 0; g < fleet.generators(); ++g) {
+        peak = std::max(peak, fleet.phase(g));
+      }
+      const SimTime kWindows[] = {units::seconds(2), units::seconds(3),
+                                  period,            units::seconds(25),
+                                  peak,              peak + 1};
+      for (const SimTime window : kWindows) {
         spec.edge.window = window;
-        spec.edge.link.loss = loss;
-        const FleetState fleet(spec, 17);
         TreeConfig tree;
         tree.spec = spec;
         tree.shape = spec.expand();
@@ -372,68 +381,77 @@ std::int64_t walk_late(const TreeConfig& tree, const UpstreamFrame& frame,
 }
 
 TEST(AggregatorTest, RootLateCountMatchesBruteForceWalk) {
-  // Three samples per generator per edge window over a lossy link, so a
-  // cutoff can fall between the send times inside one segment.
-  for (const Reduce regional : {Reduce::kRaw, Reduce::kMean}) {
-    TopologySpec spec = small_spec();
-    spec.sample_period = units::seconds(1);
-    spec.edge.window = units::seconds(3);
-    spec.edge.link.loss = 0.1;
-    spec.regional.reduce = regional;
-    const FleetState fleet(spec, 5);
-    TreeConfig tree;
-    tree.spec = spec;
-    tree.shape = spec.expand();
-    tree.fleet = &fleet;
-    tree.epoch = units::seconds(1);
-    tree.windows = 3;
+  // A lossy link and several samples per segment, so a cutoff can fall
+  // between the send times inside one segment. The 3 s window holds three
+  // samples per generator; the sub-period one ends 1 ns after the largest
+  // phase of a collected first sample, so a cutoff at `end - 1` must
+  // leave that sample on time.
+  TopologySpec spec = small_spec();
+  spec.sample_period = units::seconds(1);
+  spec.edge.link.loss = 0.1;
+  const FleetState fleet(spec, 5);
+  SimTime peak = 0;
+  for (std::int64_t g = 0; g < 100; ++g) {  // regional 0's generators
+    if (!fleet.sample_lost(g, 0)) peak = std::max(peak, fleet.phase(g));
+  }
+  for (const SimTime window : {units::seconds(3), peak + 1}) {
+    for (const Reduce regional : {Reduce::kRaw, Reduce::kMean}) {
+      spec.edge.window = window;
+      spec.regional.reduce = regional;
+      TreeConfig tree;
+      tree.spec = spec;
+      tree.shape = spec.expand();
+      tree.fleet = &fleet;
+      tree.epoch = units::seconds(1);
+      tree.windows = 3;
 
-    std::vector<UpstreamFrame> frames;
-    RegionalAggregator aggregator(
-        tree, 0, [&](UpstreamFrame f) { frames.push_back(std::move(f)); });
-    for (std::int64_t w = 0; w < tree.windows; ++w) {
-      for (std::int64_t e = tree.shape.edge_begin(0);
-           e < tree.shape.edge_end(0); ++e) {
-        std::int64_t generated = 0;
-        aggregator.deliver(EdgeAggregator(tree, e).close_window(w, generated));
-      }
-      aggregator.flush();
-    }
-    // Raw pass-through: one segment per frame; reduced: one frame per
-    // flush with a segment per edge.
-    ASSERT_EQ(frames.size(),
-              regional == Reduce::kRaw ? 15u : 3u);
-
-    int partial = 0;
-    for (const UpstreamFrame& frame : frames) {
-      ASSERT_EQ(frame.segments.size(), regional == Reduce::kRaw ? 1u : 5u);
-      std::vector<SimTime> cutoffs;
-      for (const EdgeFrame& segment : frame.segments) {
-        const SimTime end = tree.window_end(segment.window);
-        // Before and at the oldest sample, at the window end, past it.
-        for (SimTime c : {segment.oldest_send - 1, segment.oldest_send,
-                          end - 1, end, end + units::seconds(1)}) {
-          cutoffs.push_back(c);
+      std::vector<UpstreamFrame> frames;
+      RegionalAggregator aggregator(
+          tree, 0, [&](UpstreamFrame f) { frames.push_back(std::move(f)); });
+      for (std::int64_t w = 0; w < tree.windows; ++w) {
+        for (std::int64_t e = tree.shape.edge_begin(0);
+             e < tree.shape.edge_end(0); ++e) {
+          std::int64_t generated = 0;
+          const EdgeAggregator edge(tree, e);
+          aggregator.deliver(edge.close_window(w, generated));
         }
-        // Inside the window: at and just after every send time.
-        tree.for_each_sample(
-            segment.edge, segment.window,
-            [&](std::int64_t, std::int64_t, SimTime send, bool) {
-              cutoffs.push_back(send);
-              cutoffs.push_back(send + 1);
-            });
+        aggregator.flush();
       }
-      for (const SimTime cutoff : cutoffs) {
-        const std::int64_t expected = walk_late(tree, frame, cutoff);
-        ASSERT_EQ(late_samples(tree, frame, cutoff), expected)
-            << "cutoff " << cutoff;
-        if (expected > 0 && expected < frame.collected) ++partial;
+      // Raw pass-through: one segment per frame; reduced: one frame per
+      // flush with a segment per edge.
+      ASSERT_EQ(frames.size(), regional == Reduce::kRaw ? 15u : 3u);
+
+      int partial = 0;
+      for (const UpstreamFrame& frame : frames) {
+        ASSERT_EQ(frame.segments.size(), regional == Reduce::kRaw ? 1u : 5u);
+        std::vector<SimTime> cutoffs;
+        for (const EdgeFrame& segment : frame.segments) {
+          const SimTime end = tree.window_end(segment.window);
+          // Before and at the oldest sample, at the window end, past it.
+          for (const SimTime c : {segment.oldest_send - 1, segment.oldest_send,
+                                  end - 1, end, end + units::seconds(1)}) {
+            cutoffs.push_back(c);
+          }
+          // Inside the window: at and just after every send time.
+          tree.for_each_sample(
+              segment.edge, segment.window,
+              [&](std::int64_t, std::int64_t, SimTime send, bool) {
+                cutoffs.push_back(send);
+                cutoffs.push_back(send + 1);
+              });
+        }
+        for (const SimTime cutoff : cutoffs) {
+          const std::int64_t expected = walk_late(tree, frame, cutoff);
+          ASSERT_EQ(late_samples(tree, frame, cutoff), expected)
+              << "cutoff " << cutoff;
+          if (expected > 0 && expected < frame.collected) ++partial;
+        }
+        EXPECT_EQ(late_samples(tree, frame, frame.oldest_send), 0);
+        EXPECT_EQ(late_samples(tree, frame, tree.window_end(tree.windows)),
+                  frame.collected);
       }
-      EXPECT_EQ(late_samples(tree, frame, frame.oldest_send), 0);
-      EXPECT_EQ(late_samples(tree, frame, tree.window_end(tree.windows)),
-                frame.collected);
+      EXPECT_GT(partial, 0);
     }
-    EXPECT_GT(partial, 0);
   }
 }
 
