@@ -1,11 +1,17 @@
-// Data-plane hot-path microbenchmarks: the three per-message costs this
-// optimisation pass attacked, each measured against an embedded copy of the
-// seed implementation so one binary reports both numbers.
+// Data-plane hot-path microbenchmarks: the per-message costs of the
+// middleware models, each measured against a reference path embedded in
+// the same binary so one run reports both numbers.
 //
-//   predicate/*    R-GMA tuple filtering: the AST interpreter
-//                  (evaluate_predicate, re-walked per tuple — the seed hot
-//                  path) vs the CompiledPredicate flat program the producer
-//                  and consumer services now cache per attachment.
+//   predicate/*    R-GMA tuple filtering: the shared engine's reference
+//                  tree interpreter (evaluate_predicate, re-walked per
+//                  tuple — the seed hot path) vs the compiled program the
+//                  producer and consumer services cache per attachment.
+//   selector/*     JMS selector matching on the paper's generator payload:
+//                  the same interpreter in the JMS dialect vs the compiled
+//                  program Selector::evaluate runs. /0 is the paper's
+//                  "id<10000", /1 a composite over the payload's properties
+//                  and a header pseudo-property. A measurement only: a
+//                  broker charges constant simulated time per selector.
 //   topic_match/*  MQTT publish matching: the seed per-session linear
 //                  topic_matches() scan (run twice per publish: fan-out
 //                  count + delivery, as the broker did) vs two walks of the
@@ -16,7 +22,8 @@
 //                  subscriber (seed) vs one immutable ref-counted Frame
 //                  shared across the fan-out.
 //
-// items_per_second is tuples filtered / publishes matched / deliveries.
+// items_per_second is tuples filtered / messages matched / publishes
+// matched / deliveries.
 // Run with the interleaved-median protocol quoted in BENCH_data_plane.json:
 //   --benchmark_enable_random_interleaving=true --benchmark_repetitions=5
 //   --benchmark_report_aggregates_only=true --benchmark_min_time=1
@@ -30,12 +37,14 @@
 #include <vector>
 
 #include "core/payloads.hpp"
+#include "expr/interpret.hpp"
+#include "expr/parser.hpp"
 #include "jms/message.hpp"
+#include "jms/selector.hpp"
 #include "mqtt/sub_index.hpp"
 #include "mqtt/topic.hpp"
 #include "narada/frames.hpp"
 #include "rgma/sql_compile.hpp"
-#include "rgma/sql_eval.hpp"
 #include "rgma/sql_parser.hpp"
 #include "util/rng.hpp"
 
@@ -105,6 +114,75 @@ void BM_PredicateCompiled(benchmark::State& state) {
   benchmark::DoNotOptimize(selected);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(w.rows.size()));
+}
+
+// --- JMS selector evaluation ------------------------------------------------
+
+constexpr const char* kSelectors[] = {
+    "id<10000",
+    "id BETWEEN 40 AND 79 AND node <> 3 AND JMSDeliveryMode = 'PERSISTENT'",
+};
+
+struct SelectorWorkload {
+  std::vector<jms::Message> messages;
+  std::vector<expr::ExprPtr> exprs;
+  std::vector<jms::Selector> selectors;
+
+  SelectorWorkload() {
+    util::Rng rng(19);
+    for (std::int64_t i = 0; i < 512; ++i) {
+      messages.push_back(core::make_generator_message(
+          "powergrid/gen" + std::to_string(i % 100), i % 100, i,
+          static_cast<int>(i % 8), rng));
+      if (i % 2 == 0) {
+        messages.back().delivery_mode = jms::DeliveryMode::kPersistent;
+      }
+    }
+    for (const char* text : kSelectors) {
+      exprs.push_back(
+          expr::Parser(text, expr::Dialect::kJms).parse_condition());
+      selectors.push_back(jms::Selector::parse(text));
+    }
+  }
+};
+
+const SelectorWorkload& selector_workload() {
+  static const SelectorWorkload workload;
+  return workload;
+}
+
+void BM_SelectorInterpreted(benchmark::State& state) {
+  const auto& w = selector_workload();
+  const auto& expr = *w.exprs[static_cast<std::size_t>(state.range(0))];
+  const jms::Message* current = nullptr;
+  const expr::Lookup lookup = [&current](const std::string& name) {
+    return jms::selector_operand(*current, name);
+  };
+  std::int64_t matched = 0;
+  for (auto _ : state) {
+    for (const auto& message : w.messages) {
+      current = &message;
+      matched += expr::interpret(expr, expr::Dialect::kJms, lookup) ==
+                 expr::Tri::kTrue;
+    }
+  }
+  benchmark::DoNotOptimize(matched);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.messages.size()));
+}
+
+void BM_SelectorCompiled(benchmark::State& state) {
+  const auto& w = selector_workload();
+  const auto& selector = w.selectors[static_cast<std::size_t>(state.range(0))];
+  std::int64_t matched = 0;
+  for (auto _ : state) {
+    for (const auto& message : w.messages) {
+      matched += selector.matches(message);
+    }
+  }
+  benchmark::DoNotOptimize(matched);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.messages.size()));
 }
 
 // --- MQTT topic matching ----------------------------------------------------
@@ -255,6 +333,10 @@ BENCHMARK(BM_PredicateInterpreted)
     ->Name("predicate/interpreted")
     ->DenseRange(0, 3);
 BENCHMARK(BM_PredicateCompiled)->Name("predicate/compiled")->DenseRange(0, 3);
+BENCHMARK(BM_SelectorInterpreted)
+    ->Name("selector/interpreted")
+    ->DenseRange(0, 1);
+BENCHMARK(BM_SelectorCompiled)->Name("selector/compiled")->DenseRange(0, 1);
 BENCHMARK(BM_TopicMatchLinear)
     ->Name("topic_match/linear")
     ->ArgNames({"sessions", "selective"})

@@ -1,41 +1,37 @@
-// Selector AST (internal to the jms library).
+// The one conditional-expression AST, shared by both dialects.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "jms/value.hpp"
+#include "expr/semantics.hpp"
 
-namespace gridmon::jms::ast {
-
-enum class BinaryOp {
-  // arithmetic
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  // comparison
-  kEq,
-  kNeq,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-  // logic
-  kAnd,
-  kOr,
-};
+namespace gridmon::expr {
 
 enum class UnaryOp { kNeg, kPos, kNot };
 
 struct Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
+/// A literal value. A string literal keeps its contents in `text` and
+/// get() points the Val there, so a Literal copies and moves freely.
 struct Literal {
-  Value value;
+  Val value{};
+  std::string text;
+
+  [[nodiscard]] static Literal string(std::string contents) {
+    return Literal{Val::string(nullptr), std::move(contents)};
+  }
+  [[nodiscard]] Val get() const {
+    Val v = value;
+    if (v.kind == Val::Kind::kStr) v.s = &text;
+    return v;
+  }
 };
 
+/// A message property (JMS) or a column (SQL).
 struct Identifier {
   std::string name;
 };
@@ -61,7 +57,7 @@ struct Between {
 struct InList {
   bool negated;
   ExprPtr value;
-  std::vector<std::string> options;
+  std::vector<Literal> options;
 };
 
 struct Like {
@@ -87,4 +83,4 @@ ExprPtr make_expr(Node node) {
   return std::make_shared<const Expr>(Expr{std::move(node)});
 }
 
-}  // namespace gridmon::jms::ast
+}  // namespace gridmon::expr

@@ -5,26 +5,7 @@
 namespace gridmon::jms {
 
 Value Message::property(const std::string& name) const {
-  // Header pseudo-properties (JMS 1.1 §3.8.1.1).
-  if (name == "JMSPriority") return static_cast<std::int32_t>(priority);
-  if (name == "JMSTimestamp") return static_cast<std::int64_t>(timestamp);
-  if (name == "JMSMessageID") {
-    return message_id.empty() ? Value{NullValue{}} : Value{message_id};
-  }
-  if (name == "JMSCorrelationID") {
-    return correlation_id.empty() ? Value{NullValue{}} : Value{correlation_id};
-  }
-  if (name == "JMSType") {
-    return type.empty() ? Value{NullValue{}} : Value{type};
-  }
-  if (name == "JMSDeliveryMode") {
-    return std::string(delivery_mode == DeliveryMode::kPersistent
-                           ? "PERSISTENT"
-                           : "NON_PERSISTENT");
-  }
-  const auto it = properties_.find(name);
-  if (it == properties_.end()) return NullValue{};
-  return it->second;
+  return visit_property(name, [](const auto& value) { return Value{value}; });
 }
 
 void Message::map_set(const std::string& name, Value value) {

@@ -66,6 +66,11 @@ class Message {
   /// Property lookup used by selectors: missing → NULL, plus the JMSX /
   /// JMS header pseudo-properties selectors may reference.
   [[nodiscard]] Value property(const std::string& name) const;
+  /// The same lookup without copying: calls `visit` with one of Value's
+  /// alternatives (NullValue when missing). Strings are passed by
+  /// reference into this message.
+  template <typename Visit>
+  auto visit_property(const std::string& name, Visit&& visit) const;
   [[nodiscard]] const std::map<std::string, Value>& properties() const {
     return properties_;
   }
@@ -86,6 +91,30 @@ class Message {
  private:
   std::map<std::string, Value> properties_;
 };
+
+template <typename Visit>
+auto Message::visit_property(const std::string& name, Visit&& visit) const {
+  static const std::string kPersistent = "PERSISTENT";
+  static const std::string kNonPersistent = "NON_PERSISTENT";
+  const auto header_text = [&](const std::string& text) {
+    return text.empty() ? visit(NullValue{}) : visit(text);
+  };
+  // Header pseudo-properties (JMS 1.1 §3.8.1.1).
+  if (name == "JMSPriority") return visit(static_cast<std::int32_t>(priority));
+  if (name == "JMSTimestamp") {
+    return visit(static_cast<std::int64_t>(timestamp));
+  }
+  if (name == "JMSMessageID") return header_text(message_id);
+  if (name == "JMSCorrelationID") return header_text(correlation_id);
+  if (name == "JMSType") return header_text(type);
+  if (name == "JMSDeliveryMode") {
+    return visit(delivery_mode == DeliveryMode::kPersistent ? kPersistent
+                                                            : kNonPersistent);
+  }
+  const auto it = properties_.find(name);
+  if (it == properties_.end()) return visit(NullValue{});
+  return std::visit(visit, it->second);
+}
 
 using MessagePtr = std::shared_ptr<const Message>;
 

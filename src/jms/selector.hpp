@@ -6,6 +6,8 @@
 // boolean comparison limited to = and <>); arithmetic + - * / with unary
 // sign; logical AND/OR/NOT with SQL three-valued logic; BETWEEN ... AND ...;
 // IN (...); LIKE with % and _ wildcards and optional ESCAPE; IS [NOT] NULL.
+// The grammar, the compiler and the semantics are the shared src/expr
+// engine in its JMS dialect; this file binds identifiers to properties.
 //
 // The paper's subscriber uses the selector "id<10000" — present here not as
 // a stub but as one expression in a full grammar, because selector
@@ -13,54 +15,26 @@
 #pragma once
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
+#include "expr/lexer.hpp"
+#include "expr/semantics.hpp"
 #include "jms/message.hpp"
+
+namespace gridmon::expr {
+class Program;
+}
 
 namespace gridmon::jms {
 
-/// SQL three-valued logic.
-enum class Tri { kFalse, kTrue, kUnknown };
+using Tri = expr::Tri;
+using SelectorParseError = expr::ParseError;
 
-[[nodiscard]] constexpr Tri tri_not(Tri t) {
-  switch (t) {
-    case Tri::kTrue:
-      return Tri::kFalse;
-    case Tri::kFalse:
-      return Tri::kTrue;
-    case Tri::kUnknown:
-      return Tri::kUnknown;
-  }
-  return Tri::kUnknown;
-}
-[[nodiscard]] constexpr Tri tri_and(Tri a, Tri b) {
-  if (a == Tri::kFalse || b == Tri::kFalse) return Tri::kFalse;
-  if (a == Tri::kUnknown || b == Tri::kUnknown) return Tri::kUnknown;
-  return Tri::kTrue;
-}
-[[nodiscard]] constexpr Tri tri_or(Tri a, Tri b) {
-  if (a == Tri::kTrue || b == Tri::kTrue) return Tri::kTrue;
-  if (a == Tri::kUnknown || b == Tri::kUnknown) return Tri::kUnknown;
-  return Tri::kFalse;
-}
-
-class SelectorParseError : public std::runtime_error {
- public:
-  SelectorParseError(const std::string& what, std::size_t position)
-      : std::runtime_error(what + " (at offset " + std::to_string(position) +
-                           ")"),
-        position_(position) {}
-  [[nodiscard]] std::size_t position() const { return position_; }
-
- private:
-  std::size_t position_;
-};
-
-namespace ast {
-struct Expr;
-}
+/// A property as the expression engine sees it: missing → NULL, header
+/// pseudo-properties included, strings borrowed from `message`.
+[[nodiscard]] expr::Val selector_operand(const Message& message,
+                                         const std::string& name);
 
 class Selector {
  public:
@@ -78,11 +52,12 @@ class Selector {
   [[nodiscard]] Tri evaluate(const Message& message) const;
 
   [[nodiscard]] const std::string& text() const { return text_; }
-  [[nodiscard]] bool trivial() const { return root_ == nullptr; }
+  [[nodiscard]] bool trivial() const { return program_ == nullptr; }
 
  private:
   std::string text_;
-  std::shared_ptr<const ast::Expr> root_;
+  /// Immutable once compiled, so copies of a Selector share it.
+  std::shared_ptr<const expr::Program> program_;
 };
 
 }  // namespace gridmon::jms

@@ -1,86 +1,19 @@
-// AST for the SQL subset R-GMA speaks (CREATE TABLE / INSERT / SELECT with
-// WHERE predicates).
+// Statement AST for the SQL subset R-GMA speaks (CREATE TABLE / INSERT /
+// SELECT with WHERE predicates).
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "expr/ast.hpp"
 #include "rgma/schema.hpp"
 #include "rgma/sql_value.hpp"
 
 namespace gridmon::rgma::sql {
 
-enum class BinaryOp {
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  kEq,
-  kNeq,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-  kAnd,
-  kOr,
-};
-
-enum class UnaryOp { kNeg, kNot };
-
-struct Expr;
-using ExprPtr = std::shared_ptr<const Expr>;
-
-struct Literal {
-  SqlValue value;
-};
-struct ColumnRef {
-  std::string name;
-};
-struct Unary {
-  UnaryOp op;
-  ExprPtr operand;
-};
-struct Binary {
-  BinaryOp op;
-  ExprPtr lhs;
-  ExprPtr rhs;
-};
-struct Between {
-  bool negated;
-  ExprPtr value;
-  ExprPtr low;
-  ExprPtr high;
-};
-struct InList {
-  bool negated;
-  ExprPtr value;
-  std::vector<SqlValue> options;
-};
-struct Like {
-  bool negated;
-  ExprPtr value;
-  std::string pattern;
-};
-struct IsNull {
-  bool negated;
-  ExprPtr value;
-};
-
-struct Expr {
-  std::variant<Literal, ColumnRef, Unary, Binary, Between, InList, Like,
-               IsNull>
-      node;
-};
-
-template <typename Node>
-ExprPtr make_expr(Node node) {
-  return std::make_shared<const Expr>(Expr{std::move(node)});
-}
-
-// --- statements -------------------------------------------------------------
+/// WHERE predicates are trees of the shared expression engine.
+using ExprPtr = expr::ExprPtr;
 
 struct CreateTable {
   TableDef table;

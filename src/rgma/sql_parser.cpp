@@ -1,536 +1,135 @@
 #include "rgma/sql_parser.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <optional>
-#include <unordered_map>
+
+#include "expr/parser.hpp"
 
 namespace gridmon::rgma::sql {
 namespace {
 
-enum class Tok {
-  kIdent,
-  kInt,
-  kDouble,
-  kString,
-  // keywords
-  kCreate,
-  kTable,
-  kInsert,
-  kInto,
-  kValues,
-  kSelect,
-  kFrom,
-  kWhere,
-  kAnd,
-  kOr,
-  kNot,
-  kBetween,
-  kIn,
-  kLike,
-  kIs,
-  kNull,
-  kTrue,
-  kFalse,
-  kInteger,
-  kReal,
-  kDoubleKw,
-  kPrecision,
-  kChar,
-  kVarchar,
-  kTimestamp,
-  // punctuation
-  kEq,
-  kNeq,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-  kPlus,
-  kMinus,
-  kStar,
-  kSlash,
-  kLParen,
-  kRParen,
-  kComma,
-  kEnd,
-};
+using expr::Dialect;
+using expr::TokenKind;
 
-struct Token {
-  Tok kind;
-  std::string text;
-  std::int64_t int_value = 0;
-  double double_value = 0.0;
-  std::size_t position = 0;
-};
-
-const std::unordered_map<std::string, Tok>& keywords() {
-  static const std::unordered_map<std::string, Tok> kMap = {
-      {"CREATE", Tok::kCreate},   {"TABLE", Tok::kTable},
-      {"INSERT", Tok::kInsert},   {"INTO", Tok::kInto},
-      {"VALUES", Tok::kValues},   {"SELECT", Tok::kSelect},
-      {"FROM", Tok::kFrom},       {"WHERE", Tok::kWhere},
-      {"AND", Tok::kAnd},         {"OR", Tok::kOr},
-      {"NOT", Tok::kNot},         {"BETWEEN", Tok::kBetween},
-      {"IN", Tok::kIn},           {"LIKE", Tok::kLike},
-      {"IS", Tok::kIs},           {"NULL", Tok::kNull},
-      {"TRUE", Tok::kTrue},       {"FALSE", Tok::kFalse},
-      {"INTEGER", Tok::kInteger}, {"INT", Tok::kInteger},
-      {"REAL", Tok::kReal},       {"DOUBLE", Tok::kDoubleKw},
-      {"PRECISION", Tok::kPrecision}, {"CHAR", Tok::kChar},
-      {"VARCHAR", Tok::kVarchar}, {"TIMESTAMP", Tok::kTimestamp},
-  };
-  return kMap;
-}
-
-std::string upper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+SqlValue to_sql(const expr::Literal& literal) {
+  switch (literal.value.kind) {
+    case expr::Val::Kind::kInt:
+      return literal.value.i;
+    case expr::Val::Kind::kDouble:
+      return literal.value.d;
+    case expr::Val::Kind::kStr:
+      return literal.text;
+    default:
+      return SqlNull{};
   }
-  return out;
 }
 
-std::vector<Token> tokenize(std::string_view src) {
-  std::vector<Token> tokens;
-  std::size_t i = 0;
-  const std::size_t n = src.size();
-  auto push = [&](Tok kind, std::size_t at, std::string text = {}) {
-    tokens.push_back(Token{kind, std::move(text), 0, 0.0, at});
-  };
-  while (i < n) {
-    const char c = src[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    const std::size_t start = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t j = i + 1;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(src[j])) ||
-                       src[j] == '_')) {
-        ++j;
-      }
-      const std::string word(src.substr(i, j - i));
-      const auto kw = keywords().find(upper(word));
-      if (kw != keywords().end()) {
-        push(kw->second, start, word);
-      } else {
-        push(Tok::kIdent, start, word);
-      }
-      i = j;
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t j = i;
-      bool is_double = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
-      if (j < n && src[j] == '.') {
-        is_double = true;
-        ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
-      }
-      if (j < n && (src[j] == 'e' || src[j] == 'E')) {
-        std::size_t k = j + 1;
-        if (k < n && (src[k] == '+' || src[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(src[k]))) {
-          is_double = true;
-          j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
-        }
-      }
-      Token tok;
-      tok.position = start;
-      const std::string num(src.substr(i, j - i));
-      if (is_double) {
-        tok.kind = Tok::kDouble;
-        tok.double_value = std::stod(num);
-      } else {
-        tok.kind = Tok::kInt;
-        const auto res = std::from_chars(num.data(), num.data() + num.size(),
-                                         tok.int_value);
-        if (res.ec != std::errc{}) {
-          throw SqlParseError("integer literal out of range", start);
-        }
-      }
-      tokens.push_back(std::move(tok));
-      i = j;
-      continue;
-    }
-    if (c == '\'') {
-      std::string text;
-      std::size_t j = i + 1;
-      for (;;) {
-        if (j >= n) throw SqlParseError("unterminated string literal", start);
-        if (src[j] == '\'') {
-          if (j + 1 < n && src[j + 1] == '\'') {
-            text += '\'';
-            j += 2;
-            continue;
-          }
-          ++j;
-          break;
-        }
-        text += src[j];
-        ++j;
-      }
-      push(Tok::kString, start, std::move(text));
-      i = j;
-      continue;
-    }
-    switch (c) {
-      case '=':
-        push(Tok::kEq, start);
-        ++i;
-        continue;
-      case '<':
-        if (i + 1 < n && src[i + 1] == '>') {
-          push(Tok::kNeq, start);
-          i += 2;
-        } else if (i + 1 < n && src[i + 1] == '=') {
-          push(Tok::kLe, start);
-          i += 2;
-        } else {
-          push(Tok::kLt, start);
-          ++i;
-        }
-        continue;
-      case '>':
-        if (i + 1 < n && src[i + 1] == '=') {
-          push(Tok::kGe, start);
-          i += 2;
-        } else {
-          push(Tok::kGt, start);
-          ++i;
-        }
-        continue;
-      case '+':
-        push(Tok::kPlus, start);
-        ++i;
-        continue;
-      case '-':
-        push(Tok::kMinus, start);
-        ++i;
-        continue;
-      case '*':
-        push(Tok::kStar, start);
-        ++i;
-        continue;
-      case '/':
-        push(Tok::kSlash, start);
-        ++i;
-        continue;
-      case '(':
-        push(Tok::kLParen, start);
-        ++i;
-        continue;
-      case ')':
-        push(Tok::kRParen, start);
-        ++i;
-        continue;
-      case ',':
-        push(Tok::kComma, start);
-        ++i;
-        continue;
-      default:
-        throw SqlParseError(std::string("unexpected character '") + c + "'",
-                            start);
-    }
-  }
-  push(Tok::kEnd, n);
-  return tokens;
-}
-
-class Parser {
+/// Statements around the shared expression parser, which supplies the
+/// token cursor, literals and WHERE conditions.
+class StatementParser : public expr::Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit StatementParser(std::string_view source)
+      : expr::Parser(source, Dialect::kSql) {}
 
   Statement statement() {
-    if (accept(Tok::kCreate)) return create_table();
-    if (accept(Tok::kInsert)) return insert();
-    if (accept(Tok::kSelect)) return select();
-    throw SqlParseError("expected CREATE, INSERT or SELECT", peek().position);
-  }
-
-  ExprPtr predicate_only() {
-    ExprPtr expr = or_expr();
-    expect(Tok::kEnd, "end of predicate");
-    return expr;
+    if (accept_reserved("CREATE")) return create_table();
+    if (accept_reserved("INSERT")) return insert();
+    if (accept_reserved("SELECT")) return select();
+    fail("expected CREATE, INSERT or SELECT");
   }
 
  private:
-  const Token& peek() const { return tokens_[pos_]; }
-  const Token& advance() { return tokens_[pos_++]; }
-  bool check(Tok kind) const { return peek().kind == kind; }
-  bool accept(Tok kind) {
-    if (check(kind)) {
-      ++pos_;
-      return true;
-    }
-    return false;
+  void expect_reserved(std::string_view word, const char* what) {
+    if (!accept_reserved(word)) fail(std::string("expected ") + what);
   }
-  void expect(Tok kind, const char* what) {
-    if (!accept(kind)) {
-      throw SqlParseError(std::string("expected ") + what, peek().position);
-    }
-  }
+
   std::string expect_ident(const char* what) {
-    if (!check(Tok::kIdent)) {
-      throw SqlParseError(std::string("expected ") + what, peek().position);
-    }
+    if (!check(TokenKind::kIdentifier)) fail(std::string("expected ") + what);
     return advance().text;
   }
 
   Statement create_table() {
-    expect(Tok::kTable, "TABLE after CREATE");
+    expect_reserved("TABLE", "TABLE after CREATE");
     std::string name = expect_ident("table name");
-    expect(Tok::kLParen, "'(' after table name");
+    expect(TokenKind::kLParen, "'(' after table name");
     std::vector<Column> columns;
     do {
       Column col;
       col.name = expect_ident("column name");
       col.type = column_type(col.width);
       columns.push_back(std::move(col));
-    } while (accept(Tok::kComma));
-    expect(Tok::kRParen, "')' after column list");
-    expect(Tok::kEnd, "end of statement");
+    } while (accept(TokenKind::kComma));
+    expect(TokenKind::kRParen, "')' after column list");
+    expect(TokenKind::kEnd, "end of statement");
     return CreateTable{TableDef(std::move(name), std::move(columns))};
   }
 
   ColumnType column_type(int& width) {
     width = 0;
-    if (accept(Tok::kInteger)) return ColumnType::kInteger;
-    if (accept(Tok::kReal)) return ColumnType::kReal;
-    if (accept(Tok::kDoubleKw)) {
-      accept(Tok::kPrecision);
+    if (accept_reserved("INTEGER") || accept_reserved("INT")) {
+      return ColumnType::kInteger;
+    }
+    if (accept_reserved("REAL")) return ColumnType::kReal;
+    if (accept_reserved("DOUBLE")) {
+      accept_reserved("PRECISION");
       return ColumnType::kDouble;
     }
-    if (accept(Tok::kTimestamp)) return ColumnType::kTimestamp;
-    const bool is_char = accept(Tok::kChar);
-    if (is_char || accept(Tok::kVarchar)) {
-      if (accept(Tok::kLParen)) {
-        if (!check(Tok::kInt)) {
-          throw SqlParseError("expected width", peek().position);
-        }
+    if (accept_reserved("TIMESTAMP")) return ColumnType::kTimestamp;
+    const bool is_char = accept_reserved("CHAR");
+    if (is_char || accept_reserved("VARCHAR")) {
+      if (accept(TokenKind::kLParen)) {
+        if (!check(TokenKind::kInt)) fail("expected width");
         width = static_cast<int>(advance().int_value);
-        expect(Tok::kRParen, "')' after width");
+        expect(TokenKind::kRParen, "')' after width");
       }
       return is_char ? ColumnType::kChar : ColumnType::kVarchar;
     }
-    throw SqlParseError("expected column type", peek().position);
+    fail("expected column type");
   }
 
   Statement insert() {
-    expect(Tok::kInto, "INTO after INSERT");
+    expect_reserved("INTO", "INTO after INSERT");
     Insert stmt;
     stmt.table = expect_ident("table name");
-    if (accept(Tok::kLParen)) {
+    if (accept(TokenKind::kLParen)) {
       do {
         stmt.columns.push_back(expect_ident("column name"));
-      } while (accept(Tok::kComma));
-      expect(Tok::kRParen, "')' after column list");
+      } while (accept(TokenKind::kComma));
+      expect(TokenKind::kRParen, "')' after column list");
     }
-    expect(Tok::kValues, "VALUES");
-    expect(Tok::kLParen, "'(' after VALUES");
+    expect_reserved("VALUES", "VALUES");
+    expect(TokenKind::kLParen, "'(' after VALUES");
     do {
-      stmt.values.push_back(literal_value());
-    } while (accept(Tok::kComma));
-    expect(Tok::kRParen, "')' after value list");
-    expect(Tok::kEnd, "end of statement");
+      stmt.values.push_back(to_sql(literal()));
+    } while (accept(TokenKind::kComma));
+    expect(TokenKind::kRParen, "')' after value list");
+    expect(TokenKind::kEnd, "end of statement");
     return stmt;
-  }
-
-  SqlValue literal_value() {
-    bool negate = false;
-    if (accept(Tok::kMinus)) negate = true;
-    const Token& tok = peek();
-    switch (tok.kind) {
-      case Tok::kInt:
-        advance();
-        return negate ? -tok.int_value : tok.int_value;
-      case Tok::kDouble:
-        advance();
-        return negate ? -tok.double_value : tok.double_value;
-      case Tok::kString:
-        if (negate) {
-          throw SqlParseError("cannot negate a string", tok.position);
-        }
-        advance();
-        return tok.text;
-      case Tok::kNull:
-        if (negate) throw SqlParseError("cannot negate NULL", tok.position);
-        advance();
-        return SqlNull{};
-      default:
-        throw SqlParseError("expected literal", tok.position);
-    }
   }
 
   Statement select() {
     Select stmt;
-    if (!accept(Tok::kStar)) {
+    if (!accept(TokenKind::kStar)) {
       do {
         stmt.columns.push_back(expect_ident("column name"));
-      } while (accept(Tok::kComma));
+      } while (accept(TokenKind::kComma));
     }
-    expect(Tok::kFrom, "FROM");
+    expect_reserved("FROM", "FROM");
     stmt.table = expect_ident("table name");
-    if (accept(Tok::kWhere)) stmt.where = or_expr();
-    expect(Tok::kEnd, "end of statement");
+    if (accept_reserved("WHERE")) stmt.where = condition();
+    expect(TokenKind::kEnd, "end of statement");
     return stmt;
   }
-
-  // --- predicate grammar (mirrors the JMS selector grammar) ---
-
-  ExprPtr or_expr() {
-    ExprPtr lhs = and_expr();
-    while (accept(Tok::kOr)) {
-      lhs = make_expr(Binary{BinaryOp::kOr, lhs, and_expr()});
-    }
-    return lhs;
-  }
-
-  ExprPtr and_expr() {
-    ExprPtr lhs = not_expr();
-    while (accept(Tok::kAnd)) {
-      lhs = make_expr(Binary{BinaryOp::kAnd, lhs, not_expr()});
-    }
-    return lhs;
-  }
-
-  ExprPtr not_expr() {
-    if (accept(Tok::kNot)) return make_expr(Unary{UnaryOp::kNot, not_expr()});
-    return predicate();
-  }
-
-  ExprPtr predicate() {
-    ExprPtr lhs = arith();
-    static constexpr struct {
-      Tok token;
-      BinaryOp op;
-    } kComparisons[] = {
-        {Tok::kEq, BinaryOp::kEq},  {Tok::kNeq, BinaryOp::kNeq},
-        {Tok::kLt, BinaryOp::kLt},  {Tok::kLe, BinaryOp::kLe},
-        {Tok::kGt, BinaryOp::kGt},  {Tok::kGe, BinaryOp::kGe},
-    };
-    for (const auto& cmp : kComparisons) {
-      if (accept(cmp.token)) return make_expr(Binary{cmp.op, lhs, arith()});
-    }
-    bool negated = false;
-    if (check(Tok::kNot)) {
-      const Tok next = tokens_[pos_ + 1].kind;
-      if (next == Tok::kBetween || next == Tok::kIn || next == Tok::kLike) {
-        ++pos_;
-        negated = true;
-      } else {
-        return lhs;
-      }
-    }
-    if (accept(Tok::kBetween)) {
-      ExprPtr low = arith();
-      expect(Tok::kAnd, "AND in BETWEEN");
-      return make_expr(Between{negated, lhs, low, arith()});
-    }
-    if (accept(Tok::kIn)) {
-      expect(Tok::kLParen, "'(' after IN");
-      std::vector<SqlValue> options;
-      do {
-        options.push_back(literal_value());
-      } while (accept(Tok::kComma));
-      expect(Tok::kRParen, "')' after IN list");
-      return make_expr(InList{negated, lhs, std::move(options)});
-    }
-    if (accept(Tok::kLike)) {
-      if (!check(Tok::kString)) {
-        throw SqlParseError("LIKE pattern must be a string", peek().position);
-      }
-      return make_expr(Like{negated, lhs, advance().text});
-    }
-    if (accept(Tok::kIs)) {
-      const bool is_not = accept(Tok::kNot);
-      expect(Tok::kNull, "NULL after IS");
-      return make_expr(IsNull{is_not, lhs});
-    }
-    if (negated) {
-      throw SqlParseError("expected BETWEEN, IN or LIKE after NOT",
-                          peek().position);
-    }
-    return lhs;
-  }
-
-  ExprPtr arith() {
-    ExprPtr lhs = term();
-    for (;;) {
-      if (accept(Tok::kPlus)) {
-        lhs = make_expr(Binary{BinaryOp::kAdd, lhs, term()});
-      } else if (accept(Tok::kMinus)) {
-        lhs = make_expr(Binary{BinaryOp::kSub, lhs, term()});
-      } else {
-        return lhs;
-      }
-    }
-  }
-
-  ExprPtr term() {
-    ExprPtr lhs = factor();
-    for (;;) {
-      if (accept(Tok::kStar)) {
-        lhs = make_expr(Binary{BinaryOp::kMul, lhs, factor()});
-      } else if (accept(Tok::kSlash)) {
-        lhs = make_expr(Binary{BinaryOp::kDiv, lhs, factor()});
-      } else {
-        return lhs;
-      }
-    }
-  }
-
-  ExprPtr factor() {
-    if (accept(Tok::kMinus)) return make_expr(Unary{UnaryOp::kNeg, factor()});
-    accept(Tok::kPlus);
-    return primary();
-  }
-
-  ExprPtr primary() {
-    const Token& tok = peek();
-    switch (tok.kind) {
-      case Tok::kInt:
-        advance();
-        return make_expr(Literal{SqlValue{tok.int_value}});
-      case Tok::kDouble:
-        advance();
-        return make_expr(Literal{SqlValue{tok.double_value}});
-      case Tok::kString:
-        advance();
-        return make_expr(Literal{SqlValue{tok.text}});
-      case Tok::kNull:
-        advance();
-        return make_expr(Literal{SqlValue{SqlNull{}}});
-      case Tok::kIdent:
-        advance();
-        return make_expr(ColumnRef{tok.text});
-      case Tok::kLParen: {
-        advance();
-        ExprPtr inner = or_expr();
-        expect(Tok::kRParen, "')'");
-        return inner;
-      }
-      default:
-        throw SqlParseError("expected literal, column or '('", tok.position);
-    }
-  }
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
 };
 
 /// Fast path for the canonical statement shape render_insert produces:
 /// `INSERT INTO <table> VALUES (<literal>, ...)`. Every monitoring tuple
 /// arrives in this shape, so it is the dominant parse on the producer hot
-/// path; a single left-to-right scan avoids materializing the token
-/// vector. Any deviation — column lists, keyword-colliding table names,
-/// malformed input, out-of-range integers — returns nullopt and the
-/// caller falls back to the general parser, whose error reporting stays
-/// authoritative.
+/// path; a single left-to-right scan with the shared literal scanners
+/// avoids materializing the token vector. Any deviation — column lists,
+/// keyword-colliding table names, malformed input, out-of-range numbers —
+/// returns nullopt and the caller falls back to the general parser, whose
+/// error reporting stays authoritative.
 std::optional<Insert> fast_parse_insert(std::string_view src) {
   std::size_t i = 0;
   const std::size_t n = src.size();
@@ -563,7 +162,7 @@ std::optional<Insert> fast_parse_insert(std::string_view src) {
   const std::size_t table_start = i;
   while (i < n && is_word_char(src[i])) ++i;
   std::string table(src.substr(table_start, i - table_start));
-  if (keywords().contains(upper(table))) return std::nullopt;
+  if (expr::is_keyword(table, Dialect::kSql)) return std::nullopt;
   if (!word("VALUES")) return std::nullopt;
   skip_ws();
   if (i >= n || src[i] != '(') return std::nullopt;
@@ -583,56 +182,19 @@ std::optional<Insert> fast_parse_insert(std::string_view src) {
     const char c = src[i];
     if (c == '\'') {
       if (negate) return std::nullopt;
-      std::string text;
-      std::size_t j = i + 1;
-      for (;;) {
-        if (j >= n) return std::nullopt;
-        if (src[j] == '\'') {
-          if (j + 1 < n && src[j + 1] == '\'') {
-            text += '\'';
-            j += 2;
-            continue;
-          }
-          ++j;
-          break;
-        }
-        text += src[j];
-        ++j;
-      }
-      i = j;
-      stmt.values.emplace_back(std::move(text));
+      std::optional<std::string> text = expr::scan_string(src, i, i);
+      if (!text) return std::nullopt;
+      stmt.values.emplace_back(std::move(*text));
     } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      // Same number scan as tokenize(): digits [. digits] [eE [+-] digits].
-      std::size_t j = i;
-      bool is_double = false;
-      auto digits = [&] {
-        while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
-      };
-      digits();
-      if (j < n && src[j] == '.') {
-        is_double = true;
-        ++j;
-        digits();
-      }
-      if (j < n && (src[j] == 'e' || src[j] == 'E')) {
-        std::size_t k = j + 1;
-        if (k < n && (src[k] == '+' || src[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(src[k]))) {
-          is_double = true;
-          j = k;
-          digits();
-        }
-      }
-      if (is_double) {
-        const double d = std::stod(std::string(src.substr(i, j - i)));
-        stmt.values.emplace_back(negate ? -d : d);
+      const expr::Number num = expr::scan_number(src, i);
+      if (!num.in_range) return std::nullopt;
+      if (num.is_double) {
+        stmt.values.emplace_back(negate ? -num.double_value
+                                        : num.double_value);
       } else {
-        std::int64_t v = 0;
-        const auto res = std::from_chars(src.data() + i, src.data() + j, v);
-        if (res.ec != std::errc{}) return std::nullopt;
-        stmt.values.emplace_back(negate ? -v : v);
+        stmt.values.emplace_back(negate ? -num.int_value : num.int_value);
       }
-      i = j;
+      i = num.end;
     } else if (word("NULL")) {
       if (negate) return std::nullopt;
       stmt.values.emplace_back(SqlNull{});
@@ -657,13 +219,11 @@ std::optional<Insert> fast_parse_insert(std::string_view src) {
 
 Statement parse_statement(std::string_view source) {
   if (auto insert = fast_parse_insert(source)) return std::move(*insert);
-  Parser parser(tokenize(source));
-  return parser.statement();
+  return StatementParser(source).statement();
 }
 
 ExprPtr parse_predicate(std::string_view source) {
-  Parser parser(tokenize(source));
-  return parser.predicate_only();
+  return expr::Parser(source, Dialect::kSql).parse_condition();
 }
 
 std::string render_insert(const std::string& table,

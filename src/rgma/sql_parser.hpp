@@ -10,29 +10,20 @@
 //   select      := SELECT ('*' | ident (',' ident)*) FROM ident
 //                  [WHERE or_expr]
 //
-// Predicates use the same expression grammar as JMS selectors (SQL-92
-// conditionals), with column references in place of message properties.
+// Predicates are the shared SQL-92 conditional grammar (src/expr) in its
+// SQL dialect, with column references in place of message properties; the
+// statement parser reuses its tokenizer and token cursor.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
+#include "expr/lexer.hpp"
 #include "rgma/sql_ast.hpp"
 
 namespace gridmon::rgma::sql {
 
-class SqlParseError : public std::runtime_error {
- public:
-  SqlParseError(const std::string& what, std::size_t position)
-      : std::runtime_error(what + " (at offset " + std::to_string(position) +
-                           ")"),
-        position_(position) {}
-  [[nodiscard]] std::size_t position() const { return position_; }
-
- private:
-  std::size_t position_;
-};
+using SqlParseError = expr::ParseError;
 
 /// Parse one statement. Throws SqlParseError on malformed input.
 [[nodiscard]] Statement parse_statement(std::string_view source);

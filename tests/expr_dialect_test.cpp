@@ -17,7 +17,6 @@
 
 #include "jms/selector.hpp"
 #include "rgma/sql_compile.hpp"
-#include "rgma/sql_eval.hpp"
 #include "rgma/sql_parser.hpp"
 
 namespace gridmon {

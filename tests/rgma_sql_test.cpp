@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "rgma/schema.hpp"
-#include "rgma/sql_eval.hpp"
+#include "rgma/sql_compile.hpp"
 #include "rgma/sql_parser.hpp"
 #include "util/rng.hpp"
 

@@ -1,23 +1,42 @@
-// Predicate-compiler equivalence: CompiledPredicate must return exactly
-// what the AST interpreter returns for every (expr, table, row) — three-
+// Compiled-program equivalence, for both dialects: the program a JMS
+// Selector or an R-GMA CompiledPredicate runs must return exactly what the
+// reference tree interpreter returns for every (expr, operands) — three-
 // valued logic, NULL propagation, type mismatches, division by zero,
-// unknown and out-of-range columns, LIKE edge cases — plus the fast
-// INSERT parse path against the general parser. The randomized sweep is
-// seeded, so failures reproduce.
+// int64 wrap-around, unknown and out-of-range columns, missing properties,
+// LIKE and ESCAPE edge cases — plus the fast INSERT parse path against the
+// general parser. The randomized sweeps are seeded, so failures reproduce.
 #include "rgma/sql_compile.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "rgma/sql_eval.hpp"
+#include "expr/interpret.hpp"
+#include "expr/parser.hpp"
+#include "jms/selector.hpp"
 #include "rgma/sql_parser.hpp"
 
 namespace gridmon::rgma::sql {
 namespace {
+
+using expr::Between;
+using expr::Binary;
+using expr::BinaryOp;
+using expr::Dialect;
+using expr::Identifier;
+using expr::InList;
+using expr::IsNull;
+using expr::Like;
+using expr::Literal;
+using expr::make_expr;
+using expr::Program;
+using expr::Unary;
+using expr::UnaryOp;
+using expr::Val;
 
 TableDef test_table() {
   return TableDef("metrics", {
@@ -35,65 +54,136 @@ constexpr const char* kColumns[] = {"id",    "seq",    "value",
                                     "node",  "label",  "missing"};
 constexpr const char* kPatterns[] = {"%",   "_",    "",    "%%",   "a%",
                                      "%b",  "a_c",  "__",  "%a%b%", "abc",
-                                     "a%b", "_bc",  "ab%c"};
+                                     "a%b", "_bc",  "ab%c", "a!%b", "!_bc",
+                                     "ab!",  "!!"};
 constexpr BinaryOp kBinaryOps[] = {
     BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul, BinaryOp::kDiv,
     BinaryOp::kEq,  BinaryOp::kNeq, BinaryOp::kLt,  BinaryOp::kLe,
     BinaryOp::kGt,  BinaryOp::kGe,  BinaryOp::kAnd, BinaryOp::kOr};
 
-/// Small integers keep nested arithmetic far from int64 overflow (UB in
-/// both implementations); zeros are frequent so division-by-zero → NULL
-/// gets exercised.
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+/// Small integers with zeros frequent, so division by zero → NULL gets
+/// exercised, plus the int64 extremes and -1 so that wrap-around and
+/// INT64_MIN / -1 do too.
+std::int64_t random_int(std::mt19937_64& rng) {
+  switch (rng() % 8) {
+    case 0:
+      return kMin;
+    case 1:
+      return kMax;
+    case 2:
+      return -1;
+    default:
+      return static_cast<std::int64_t>(rng() % 19) - 9;
+  }
+}
+
+double random_double(std::mt19937_64& rng) {
+  return (static_cast<double>(rng() % 19) - 9.0) / 2.0;
+}
+
 SqlValue random_value(std::mt19937_64& rng) {
   switch (rng() % 6) {
     case 0:
       return SqlNull{};
     case 1:
     case 2:
-      return static_cast<std::int64_t>(rng() % 19) - 9;
+      return random_int(rng);
     case 3:
-      return (static_cast<double>(rng() % 19) - 9.0) / 2.0;
+      return random_double(rng);
     default:
       return std::string(kStrings[rng() % std::size(kStrings)]);
   }
 }
 
-ExprPtr random_expr(std::mt19937_64& rng, int depth) {
-  const auto pick = depth <= 0 ? rng() % 2 : rng() % 9;
-  switch (pick) {
-    case 0:
-      return make_expr(Literal{random_value(rng)});
-    case 1:
-      return make_expr(ColumnRef{kColumns[rng() % std::size(kColumns)]});
-    case 2:
-      return make_expr(Unary{rng() % 2 == 0 ? UnaryOp::kNeg : UnaryOp::kNot,
-                             random_expr(rng, depth - 1)});
-    case 3:
-      return make_expr(Binary{kBinaryOps[rng() % std::size(kBinaryOps)],
-                              random_expr(rng, depth - 1),
-                              random_expr(rng, depth - 1)});
-    case 4:
-      return make_expr(Between{rng() % 2 == 0, random_expr(rng, depth - 1),
-                               random_expr(rng, depth - 1),
-                               random_expr(rng, depth - 1)});
-    case 5: {
-      std::vector<SqlValue> options;
-      const auto count = rng() % 4;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        options.push_back(random_value(rng));
+/// Generates expressions the dialect's parser could produce: JMS adds
+/// unary +, boolean literals, ESCAPE and string-only IN lists.
+class ExprGen {
+ public:
+  ExprGen(const Dialect& dialect, std::uint64_t seed)
+      : dialect_(dialect), rng_(seed) {}
+
+  std::mt19937_64& rng() { return rng_; }
+
+  expr::ExprPtr expr(int depth) {
+    const auto pick = depth <= 0 ? rng_() % 2 : rng_() % 9;
+    switch (pick) {
+      case 0:
+        return make_expr(literal());
+      case 1:
+        return make_expr(Identifier{kColumns[rng_() % std::size(kColumns)]});
+      case 2:
+        return make_expr(Unary{unary_op(), expr(depth - 1)});
+      case 3:
+        return make_expr(Binary{kBinaryOps[rng_() % std::size(kBinaryOps)],
+                                expr(depth - 1), expr(depth - 1)});
+      case 4:
+        return make_expr(Between{rng_() % 2 == 0, expr(depth - 1),
+                                 expr(depth - 1), expr(depth - 1)});
+      case 5: {
+        std::vector<Literal> options;
+        const auto count = rng_() % 4;
+        for (std::uint64_t i = 0; i < count; ++i) {
+          options.push_back(dialect_.in_strings_only ? string_literal()
+                                                     : literal());
+        }
+        return make_expr(
+            InList{rng_() % 2 == 0, expr(depth - 1), std::move(options)});
       }
-      return make_expr(InList{rng() % 2 == 0, random_expr(rng, depth - 1),
-                              std::move(options)});
+      case 6: {
+        const char escape =
+            dialect_.like_escape && rng_() % 2 == 0 ? '!' : '\0';
+        return make_expr(Like{rng_() % 2 == 0, expr(depth - 1),
+                              kPatterns[rng_() % std::size(kPatterns)],
+                              escape});
+      }
+      case 7:
+        return make_expr(IsNull{rng_() % 2 == 0, expr(depth - 1)});
+      default:
+        return make_expr(literal());
     }
-    case 6:
-      return make_expr(Like{rng() % 2 == 0, random_expr(rng, depth - 1),
-                            kPatterns[rng() % std::size(kPatterns)]});
-    case 7:
-      return make_expr(IsNull{rng() % 2 == 0, random_expr(rng, depth - 1)});
-    default:
-      return make_expr(Literal{random_value(rng)});
   }
-}
+
+ private:
+  UnaryOp unary_op() {
+    switch (rng_() % (dialect_.unary_plus ? 3 : 2)) {
+      case 0:
+        return UnaryOp::kNeg;
+      case 1:
+        return UnaryOp::kNot;
+      default:
+        return UnaryOp::kPos;
+    }
+  }
+
+  Literal string_literal() {
+    return Literal::string(kStrings[rng_() % std::size(kStrings)]);
+  }
+
+  Literal literal() {
+    switch (rng_() % 7) {
+      case 0:
+        return Literal{};
+      case 1:
+      case 2:
+        return Literal{Val::integer(random_int(rng_)), {}};
+      case 3:
+        return Literal{Val::real(random_double(rng_)), {}};
+      case 4:
+        if (dialect_.bool_literals) {
+          return Literal{Val::boolean(rng_() % 2 == 0), {}};
+        }
+        return Literal{};
+      default:
+        return string_literal();
+    }
+  }
+
+  const Dialect& dialect_;
+  std::mt19937_64 rng_;
+};
 
 /// Rows vary in length (shorter and longer than the schema) so resolved
 /// column indices get bounds-checked, and cells ignore column types so
@@ -105,15 +195,47 @@ std::vector<SqlValue> random_row(std::mt19937_64& rng) {
   return row;
 }
 
+/// Every JMS property type (bool, int32, int64, float, double, string),
+/// with properties randomly missing.
+jms::Message random_message(std::mt19937_64& rng) {
+  jms::Message msg;
+  for (const char* name : kColumns) {
+    switch (rng() % 8) {
+      case 0:
+        break;  // missing
+      case 1:
+        msg.set_property(name, rng() % 2 == 0);
+        break;
+      case 2:
+        msg.set_property(name, static_cast<std::int32_t>(rng() % 19) - 9);
+        break;
+      case 3:
+        msg.set_property(name, random_int(rng));
+        break;
+      case 4:
+        msg.set_property(name, static_cast<float>(random_double(rng)));
+        break;
+      case 5:
+        msg.set_property(name, random_double(rng));
+        break;
+      default:
+        msg.set_property(name,
+                         std::string(kStrings[rng() % std::size(kStrings)]));
+        break;
+    }
+  }
+  return msg;
+}
+
 TEST(SqlCompile, RandomizedEquivalenceWithInterpreter) {
   const TableDef table = test_table();
-  std::mt19937_64 rng(20260808ULL);
+  ExprGen gen(Dialect::kSql, 20260808ULL);
   int outcomes[3] = {0, 0, 0};
   for (int i = 0; i < 1000; ++i) {
-    const ExprPtr expr = random_expr(rng, 4);
+    const ExprPtr expr = gen.expr(4);
     const CompiledPredicate compiled = CompiledPredicate::compile(expr, table);
     for (int r = 0; r < 8; ++r) {
-      const std::vector<SqlValue> row = random_row(rng);
+      const std::vector<SqlValue> row = random_row(gen.rng());
       const Tri expected = evaluate_predicate(*expr, table, row);
       ASSERT_EQ(compiled.evaluate(row), expected)
           << "expr #" << i << " row #" << r;
@@ -126,6 +248,56 @@ TEST(SqlCompile, RandomizedEquivalenceWithInterpreter) {
   EXPECT_GT(outcomes[static_cast<int>(Tri::kFalse)], 0);
   EXPECT_GT(outcomes[static_cast<int>(Tri::kTrue)], 0);
   EXPECT_GT(outcomes[static_cast<int>(Tri::kUnknown)], 0);
+}
+
+TEST(JmsCompile, RandomizedEquivalenceWithInterpreter) {
+  ExprGen gen(Dialect::kJms, 20261017ULL);
+  int outcomes[3] = {0, 0, 0};
+  for (int i = 0; i < 1000; ++i) {
+    const ExprPtr expr = gen.expr(4);
+    const Program program = Program::compile(*expr, Dialect::kJms, {});
+    for (int m = 0; m < 8; ++m) {
+      const jms::Message msg = random_message(gen.rng());
+      const Tri expected = expr::interpret(
+          *expr, Dialect::kJms, [&](const std::string& name) {
+            return jms::selector_operand(msg, name);
+          });
+      const Tri run = program.run<Dialect::kJms>([&](std::uint32_t operand) {
+        return jms::selector_operand(msg, program.name(operand));
+      });
+      ASSERT_EQ(run, expected) << "expr #" << i << " message #" << m;
+      ++outcomes[static_cast<int>(expected)];
+    }
+  }
+  EXPECT_GT(outcomes[static_cast<int>(Tri::kFalse)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(Tri::kTrue)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(Tri::kUnknown)], 0);
+}
+
+TEST(JmsCompile, ParsedSelectorsMatchInterpreter) {
+  const char* kSelectors[] = {
+      "id < 10000",
+      "id BETWEEN 2 AND 8 AND NOT (node LIKE 'a!%%' ESCAPE '!')",
+      "label IN ('abc', 'zz') OR value / 0 > 1",  // IEEE: +inf or NaN
+      "+seq = seq AND -id <> id",
+      "node < 'b'",     // string ordering is UNKNOWN in JMS
+      "missing IS NULL",
+      "TRUE AND value >= 1.5",
+  };
+  std::mt19937_64 rng(7);
+  for (const char* text : kSelectors) {
+    const ExprPtr expr =
+        expr::Parser(text, Dialect::kJms).parse_condition();
+    const jms::Selector selector = jms::Selector::parse(text);
+    for (int m = 0; m < 16; ++m) {
+      const jms::Message msg = random_message(rng);
+      const Tri expected = expr::interpret(
+          *expr, Dialect::kJms, [&](const std::string& name) {
+            return jms::selector_operand(msg, name);
+          });
+      ASSERT_EQ(selector.evaluate(msg), expected) << text;
+    }
+  }
 }
 
 TEST(SqlCompile, EmptyProgramSelectsEverything) {
@@ -152,6 +324,8 @@ TEST(SqlCompile, ParsedPredicatesMatchInterpreter) {
       "node = 7",                     // type mismatch → UNKNOWN
       "3 < 4",                        // constant-folds to TRUE
       "NULL = NULL",                  // folds to UNKNOWN
+      "(-9223372036854775807 - 1) / -1 = 0",  // folds without trapping
+      "id * 9223372036854775807 < 0",
   };
   const std::vector<std::vector<SqlValue>> rows = {
       {std::int64_t{3}, std::int64_t{5}, 2.0, std::string("grid/feeder7"),
@@ -160,6 +334,7 @@ TEST(SqlCompile, ParsedPredicatesMatchInterpreter) {
       {SqlNull{}, std::int64_t{9}, SqlNull{}, std::string("abc"),
        std::string("zz")},
       {std::int64_t{2}, std::int64_t{8}, -4.5, std::int64_t{7}, 1.5},
+      {kMin, std::int64_t{-1}, 0.0},
       {},
   };
   for (const char* text : kPredicates) {
@@ -178,7 +353,7 @@ TEST(SqlCompile, LikeEdgeCasesMatchSqlLike) {
   const TableDef table = test_table();
   for (const char* pattern : kPatterns) {
     const ExprPtr expr =
-        make_expr(Like{false, make_expr(ColumnRef{"node"}), pattern});
+        make_expr(Like{false, make_expr(Identifier{"node"}), pattern});
     const CompiledPredicate compiled = CompiledPredicate::compile(expr, table);
     for (const char* text : kStrings) {
       std::vector<SqlValue> row = {SqlNull{}, SqlNull{}, SqlNull{},
@@ -230,6 +405,8 @@ TEST(SqlParserFastPath, MalformedInsertsStillThrow) {
   EXPECT_THROW(
       parse_statement("INSERT INTO metrics VALUES (9223372036854775808)"),
       SqlParseError);  // int64 out of range, reported by the general parser
+  EXPECT_THROW(parse_statement("INSERT INTO metrics VALUES (1e999)"),
+               SqlParseError);  // double out of range, likewise
 }
 
 TEST(SqlParserFastPath, RenderInsertRoundTripsDoubles) {
