@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -255,7 +256,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "id = 'unterminated", "id BETWEEN 1", "id BETWEEN 1 OR 2",
                       "id IN ()", "id IN (1, 2)", "id LIKE 42",
                       "id LIKE 'x' ESCAPE 'toolong'", "id IS 42", "# id",
-                      "id NOT 5", "1 2", "id = = 2", "NOT", "id IN 'x'"));
+                      "id NOT 5", "1 2", "id = = 2", "NOT", "id IN 'x'",
+                      "x = 1e999", "x = 1e-400", "x = -1e999"));
 
 TEST(Selector, ParseErrorReportsPosition) {
   try {
@@ -265,6 +267,18 @@ TEST(Selector, ParseErrorReportsPosition) {
     EXPECT_GE(e.position(), 4u);
     EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
   }
+}
+
+TEST(Selector, LongArithmeticWrapsLikeJava) {
+  Message msg;
+  msg.set_property("x", std::numeric_limits<std::int64_t>::min());
+  // INT64_MIN / -1 overflows; Java long division yields INT64_MIN.
+  EXPECT_EQ(eval("x / -1 = 0", msg), Tri::kFalse);
+  EXPECT_EQ(eval("x / -1 = x", msg), Tri::kTrue);
+  EXPECT_EQ(eval("-x = x", msg), Tri::kTrue);
+  EXPECT_EQ(eval("x * -1 = x", msg), Tri::kTrue);
+  EXPECT_EQ(eval("x - 1 = 9223372036854775807", msg), Tri::kTrue);
+  EXPECT_EQ(eval("9223372036854775807 + 1 < 0"), Tri::kTrue);
 }
 
 /// Property sweep: "id<10000" agrees with direct comparison for random ids.

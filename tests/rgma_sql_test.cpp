@@ -114,7 +114,15 @@ INSTANTIATE_TEST_SUITE_P(
                       "SELECT * FROM t WHERE (a = 1",
                       "INSERT INTO t VALUES ('unterminated)",
                       "SELECT * FROM t extra",
-                      "INSERT INTO t VALUES (-'x')"));
+                      "INSERT INTO t VALUES (-'x')",
+                      "INSERT INTO t VALUES (1e999)",
+                      "INSERT INTO t VALUES (1e-400)",
+                      "SELECT * FROM t WHERE x = 1e999"));
+
+TEST(SqlParser, OutOfRangeFloatIsAParseError) {
+  EXPECT_THROW((void)parse_predicate("x = 1e999"), SqlParseError);
+  EXPECT_THROW((void)parse_predicate("x = 1e-400"), SqlParseError);
+}
 
 TEST(SqlParser, RenderInsertRoundTrips) {
   const std::vector<SqlValue> row = {std::int64_t{7}, 2.25,
@@ -196,6 +204,23 @@ TEST(SqlEval, Arithmetic) {
   EXPECT_EQ(where("age / 7 = 4", kAlice), Tri::kTrue);  // integer division
   EXPECT_EQ(where("age / 0 = 1", kAlice), Tri::kUnknown);
   EXPECT_EQ(where("-age = -30", kAlice), Tri::kTrue);
+}
+
+TEST(SqlEval, LongArithmeticWrapsLikeJava) {
+  // INT64_MIN / -1 overflows; constant folding and evaluation both yield
+  // INT64_MIN, as Java long division does.
+  const char* kMinOverMinusOne = "(-9223372036854775807 - 1) / -1";
+  for (const std::string& text :
+       {std::string(kMinOverMinusOne) + " = 0",
+        std::string(kMinOverMinusOne) + " < 0",
+        std::string("age * 9223372036854775807 = -30"),
+        std::string("9223372036854775807 + age < 0")}) {
+    const Tri expected = text.ends_with("= 0") ? Tri::kFalse : Tri::kTrue;
+    EXPECT_EQ(where(text, kAlice), expected) << text;
+    const auto compiled =
+        CompiledPredicate::compile(parse_predicate(text), people());
+    EXPECT_EQ(compiled.evaluate(kAlice), expected) << text;
+  }
 }
 
 TEST(SqlEval, UnknownColumnIsNull) {
