@@ -1,23 +1,8 @@
 #include "jms/value.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace gridmon::jms {
-
-double as_double(const Value& v) {
-  if (const auto* i = std::get_if<std::int32_t>(&v)) return *i;
-  if (const auto* l = std::get_if<std::int64_t>(&v)) return static_cast<double>(*l);
-  if (const auto* f = std::get_if<float>(&v)) return *f;
-  if (const auto* d = std::get_if<double>(&v)) return *d;
-  throw std::logic_error("jms::as_double: value is not numeric");
-}
-
-std::int64_t as_int64(const Value& v) {
-  if (const auto* i = std::get_if<std::int32_t>(&v)) return *i;
-  if (const auto* l = std::get_if<std::int64_t>(&v)) return *l;
-  throw std::logic_error("jms::as_int64: value is not integral");
-}
 
 std::int64_t wire_size(const Value& v) {
   struct Sizer {

@@ -38,12 +38,6 @@ using Value = std::variant<NullValue, bool, std::int32_t, std::int64_t, float,
          std::holds_alternative<std::int64_t>(v);
 }
 
-/// Numeric value as double (requires is_numeric).
-[[nodiscard]] double as_double(const Value& v);
-
-/// Numeric value as int64 (requires is_integral).
-[[nodiscard]] std::int64_t as_int64(const Value& v);
-
 /// Approximate serialised size of the value on the wire, in bytes.
 [[nodiscard]] std::int64_t wire_size(const Value& v);
 

@@ -22,16 +22,6 @@ TEST(Value, TypePredicates) {
   EXPECT_TRUE(is_string(Value{std::string("x")}));
 }
 
-TEST(Value, NumericConversions) {
-  EXPECT_DOUBLE_EQ(as_double(Value{std::int32_t{4}}), 4.0);
-  EXPECT_DOUBLE_EQ(as_double(Value{2.5f}), 2.5);
-  EXPECT_DOUBLE_EQ(as_double(Value{std::int64_t{1} << 40}),
-                   static_cast<double>(std::int64_t{1} << 40));
-  EXPECT_EQ(as_int64(Value{std::int32_t{-3}}), -3);
-  EXPECT_THROW((void)as_double(Value{std::string("x")}), std::logic_error);
-  EXPECT_THROW((void)as_int64(Value{1.5}), std::logic_error);
-}
-
 TEST(Value, WireSizes) {
   EXPECT_EQ(wire_size(Value{NullValue{}}), 1);
   EXPECT_EQ(wire_size(Value{true}), 1);
