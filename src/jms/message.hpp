@@ -63,12 +63,12 @@ class Message {
   void set_property(const std::string& name, Value value) {
     properties_[name] = std::move(value);
   }
-  /// Property lookup used by selectors: missing → NULL, plus the JMSX /
+  /// Property lookup as selectors see it: missing → NULL, plus the JMSX /
   /// JMS header pseudo-properties selectors may reference.
   [[nodiscard]] Value property(const std::string& name) const;
-  /// The same lookup without copying: calls `visit` with one of Value's
-  /// alternatives (NullValue when missing). Strings are passed by
-  /// reference into this message.
+  /// The same lookup without copying, which selectors use: calls `visit`
+  /// with one of Value's alternatives (NullValue when missing). Strings
+  /// are passed by reference into this message.
   template <typename Visit>
   auto visit_property(const std::string& name, Visit&& visit) const;
   [[nodiscard]] const std::map<std::string, Value>& properties() const {
