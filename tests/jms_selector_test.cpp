@@ -257,7 +257,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "id IN ()", "id IN (1, 2)", "id LIKE 42",
                       "id LIKE 'x' ESCAPE 'toolong'", "id IS 42", "# id",
                       "id NOT 5", "1 2", "id = = 2", "NOT", "id IN 'x'",
-                      "x = 1e999", "x = 1e-400", "x = -1e999"));
+                      "x = 1e999", "x = 1e-400", "x = -1e999",
+                      "id = NULL", "id IN (NULL)"));
 
 TEST(Selector, ParseErrorReportsPosition) {
   try {
@@ -267,6 +268,29 @@ TEST(Selector, ParseErrorReportsPosition) {
     EXPECT_GE(e.position(), 4u);
     EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
   }
+}
+
+// Where the JMS dialect differs from R-GMA's SQL dialect; rgma_sql_test's
+// SqlEval.DialectDifferencesFromJms pins the other side of each line.
+TEST(Selector, DialectDifferencesFromSql) {
+  Message msg = sample_message();
+  msg.set_property("$x", std::int32_t{5});
+  msg.set_property("a.b", std::string("zz"));
+  msg.set_property("select", std::int32_t{1});
+  // '$' and '.' in identifiers, leading-dot numbers.
+  EXPECT_EQ(eval("$x = 5 AND a.b = 'zz'", msg), Tri::kTrue);
+  EXPECT_EQ(eval("rate = .5 + 1", msg), Tri::kTrue);
+  // SQL statement words are plain identifiers.
+  EXPECT_EQ(eval("select = 1", msg), Tri::kTrue);
+  // Unary + nests and rejects non-numbers.
+  EXPECT_EQ(eval("++id = 42"), Tri::kTrue);
+  EXPECT_EQ(eval("+name = 'generator-7'"), Tri::kUnknown);
+  // Truth values are booleans, not integers.
+  EXPECT_EQ(eval("(id = 42) = TRUE"), Tri::kTrue);
+  EXPECT_EQ(eval("(id = 42) = 1"), Tri::kUnknown);
+  // Double division by zero follows IEEE.
+  EXPECT_EQ(eval("power / 0 > 1000000"), Tri::kTrue);
+  EXPECT_EQ(eval("-power / 0.0 < 0"), Tri::kTrue);
 }
 
 TEST(Selector, LongArithmeticWrapsLikeJava) {

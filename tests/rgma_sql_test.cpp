@@ -117,7 +117,14 @@ INSTANTIATE_TEST_SUITE_P(
                       "INSERT INTO t VALUES (-'x')",
                       "INSERT INTO t VALUES (1e999)",
                       "INSERT INTO t VALUES (1e-400)",
-                      "SELECT * FROM t WHERE x = 1e999"));
+                      "SELECT * FROM t WHERE x = 1e999",
+                      "SELECT * FROM t WHERE $x = 1",
+                      "SELECT * FROM t WHERE a.b = 1",
+                      "SELECT * FROM t WHERE a = .5",
+                      "SELECT * FROM t WHERE select = 1",
+                      "SELECT * FROM t WHERE a = TRUE",
+                      "SELECT * FROM t WHERE a LIKE 'x' ESCAPE '!'",
+                      "SELECT * FROM t WHERE ++a = 1"));
 
 TEST(SqlParser, OutOfRangeFloatIsAParseError) {
   EXPECT_THROW((void)parse_predicate("x = 1e999"), SqlParseError);
@@ -204,6 +211,26 @@ TEST(SqlEval, Arithmetic) {
   EXPECT_EQ(where("age / 7 = 4", kAlice), Tri::kTrue);  // integer division
   EXPECT_EQ(where("age / 0 = 1", kAlice), Tri::kUnknown);
   EXPECT_EQ(where("-age = -30", kAlice), Tri::kTrue);
+}
+
+// Where R-GMA's SQL dialect differs from JMS selectors; jms_selector_test's
+// Selector.DialectDifferencesFromSql pins the other side of each line.
+TEST(SqlEval, DialectDifferencesFromJms) {
+  // NULL is a literal; IN lists take any literal and compare with `=`.
+  EXPECT_EQ(where("NULL IS NULL", kAlice), Tri::kTrue);
+  EXPECT_EQ(where("id IN ('1')", kAlice), Tri::kFalse);
+  // ESCAPE is not a keyword, so it can name a column.
+  EXPECT_EQ(where("escape IS NULL", kAlice), Tri::kTrue);
+  // One optional + before a primary, ignored even for strings.
+  EXPECT_EQ(where("+name = 'alice'", kAlice), Tri::kTrue);
+  // Truth values are integers 0/1, and any non-zero integer is TRUE.
+  EXPECT_EQ(where("(age = 30) = 1", kAlice), Tri::kTrue);
+  EXPECT_EQ(where("(age = 30) + 1 = 2", kAlice), Tri::kTrue);
+  EXPECT_EQ(where("age", kAlice), Tri::kTrue);
+  EXPECT_EQ(where("NOT age", kAlice), Tri::kFalse);
+  // Double division by zero is NULL.
+  EXPECT_EQ(where("score / 0 > 1000000", kAlice), Tri::kUnknown);
+  EXPECT_EQ(where("score / 0.0 IS NULL", kAlice), Tri::kTrue);
 }
 
 TEST(SqlEval, LongArithmeticWrapsLikeJava) {
