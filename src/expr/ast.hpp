@@ -10,8 +10,6 @@
 
 namespace gridmon::expr {
 
-enum class UnaryOp { kNeg, kPos, kNot };
-
 struct Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 

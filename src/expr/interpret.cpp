@@ -16,91 +16,45 @@ class Evaluator {
   [[nodiscard]] Tri truth(const Val& v) const { return truth_of(v, dialect_); }
 
  private:
-  Val boolean(bool b) const { return truth_value(b, dialect_); }
-  Val boolean(Tri t) const { return truth_value(t, dialect_); }
-
   Val eval_node(const Literal& lit) const { return lit.get(); }
 
   Val eval_node(const Identifier& ident) const { return lookup_(ident.name); }
 
   Val eval_node(const Unary& unary) const {
-    const Val operand = eval(*unary.operand);
-    switch (unary.op) {
-      case UnaryOp::kNot:
-        return boolean(tri_not(truth(operand)));
-      case UnaryOp::kNeg:
-        return negate(operand);
-      case UnaryOp::kPos:
-        return plus(operand);
-    }
-    return Val{};
+    return expr::unary(unary.op, eval(*unary.operand), dialect_);
   }
 
   Val eval_node(const Binary& binary) const {
-    // Logic short-circuits per three-valued truth tables.
-    if (binary.op == BinaryOp::kAnd) {
-      const Tri lhs = truth(eval(*binary.lhs));
-      if (lhs == Tri::kFalse) return boolean(Tri::kFalse);
-      return boolean(tri_and(lhs, truth(eval(*binary.rhs))));
-    }
-    if (binary.op == BinaryOp::kOr) {
-      const Tri lhs = truth(eval(*binary.lhs));
-      if (lhs == Tri::kTrue) return boolean(Tri::kTrue);
-      return boolean(tri_or(lhs, truth(eval(*binary.rhs))));
-    }
     const Val lhs = eval(*binary.lhs);
-    const Val rhs = eval(*binary.rhs);
-    if (lhs.null() || rhs.null()) return Val{};
-    switch (binary.op) {
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul:
-      case BinaryOp::kDiv:
-        return arith(binary.op, lhs, rhs, dialect_);
-      default:
-        return boolean(compare(binary.op, lhs, rhs, dialect_));
+    // Logic short-circuits on the deciding value (FALSE for AND, TRUE for
+    // OR), per the three-valued truth tables.
+    if (binary.op == BinaryOp::kAnd || binary.op == BinaryOp::kOr) {
+      const Tri decides =
+          binary.op == BinaryOp::kAnd ? Tri::kFalse : Tri::kTrue;
+      if (truth(lhs) == decides) return truth_value(decides, dialect_);
+      return logic(binary.op, lhs, eval(*binary.rhs), dialect_);
     }
+    return expr::binary(binary.op, lhs, eval(*binary.rhs), dialect_);
   }
 
-  Val eval_node(const Between& between) const {
-    const Val value = eval(*between.value);
-    const Val low = eval(*between.low);
-    const Val high = eval(*between.high);
-    if (value.null() || low.null() || high.null()) return Val{};
-    const Tri result =
-        tri_and(compare(BinaryOp::kGe, value, low, dialect_),
-                compare(BinaryOp::kLe, value, high, dialect_));
-    return boolean(between.negated ? tri_not(result) : result);
+  Val eval_node(const Between& node) const {
+    return between(eval(*node.value), eval(*node.low), eval(*node.high),
+                   node.negated, dialect_);
   }
 
   Val eval_node(const InList& in) const {
-    const Val value = eval(*in.value);
-    if (value.null()) return Val{};
-    if (dialect_.in_strings_only && value.kind != Val::Kind::kStr) {
-      return Val{};
-    }
-    bool found = false;
-    for (const Literal& option : in.options) {
-      const Val ov = option.get();
-      if (!ov.null() &&
-          compare(BinaryOp::kEq, value, ov, dialect_) == Tri::kTrue) {
-        found = true;
-        break;
-      }
-    }
-    return boolean(in.negated ? !found : found);
+    return in_list(eval(*in.value), in.options,
+                   [](const Literal& option) { return option.get(); },
+                   in.negated, dialect_);
   }
 
-  Val eval_node(const Like& like) const {
-    const Val value = eval(*like.value);
-    if (value.kind != Val::Kind::kStr) return Val{};
-    const bool matched = like_match(*value.s, like.pattern, like.escape);
-    return boolean(like.negated ? !matched : matched);
+  Val eval_node(const Like& node) const {
+    return like(eval(*node.value), node.pattern, node.escape, node.negated,
+                dialect_);
   }
 
-  Val eval_node(const IsNull& isnull) const {
-    const bool null = eval(*isnull.value).null();
-    return boolean(isnull.negated ? !null : null);
+  Val eval_node(const IsNull& node) const {
+    return is_null(eval(*node.value), node.negated, dialect_);
   }
 
   const Dialect& dialect_;

@@ -29,10 +29,6 @@ class Program::Lowerer {
                       expr.node);
   }
 
-  Val boolean(bool b) const { return truth_value(b, dialect_); }
-  Val boolean(Tri t) const { return truth_value(t, dialect_); }
-  Tri truth(const Val& v) const { return truth_of(v, dialect_); }
-
   /// Copy a Val into program-owned storage (strings into the pool).
   Val intern(const Val& v) {
     if (v.kind != Val::Kind::kStr) return v;
@@ -106,38 +102,22 @@ class Program::Lowerer {
     return {};
   }
 
-  Result lower_node(const Unary& unary) {
-    const Result operand = lower(*unary.operand);
+  Result lower_node(const Unary& node) {
+    const Result operand = lower(*node.operand);
+    if (operand.constant) {
+      return {true, unary(node.op, operand.value, dialect_)};
+    }
     static constexpr OpCode kCodes[] = {OpCode::kNeg, OpCode::kPos,
                                         OpCode::kNot};
-    if (!operand.constant) {
-      emit(Op{kCodes[static_cast<int>(unary.op)]});
-      return {};
-    }
-    switch (unary.op) {
-      case UnaryOp::kNeg:
-        return {true, negate(operand.value)};
-      case UnaryOp::kPos:
-        return {true, plus(operand.value)};
-      case UnaryOp::kNot:
-        break;
-    }
-    return {true, boolean(tri_not(truth(operand.value)))};
+    emit(Op{kCodes[static_cast<int>(node.op)]});
+    return {};
   }
 
   Val fold_binary(BinaryOp op, const Val& lhs, const Val& rhs) const {
-    if (op == BinaryOp::kAnd) return boolean(tri_and(truth(lhs), truth(rhs)));
-    if (op == BinaryOp::kOr) return boolean(tri_or(truth(lhs), truth(rhs)));
-    if (lhs.null() || rhs.null()) return Val{};
-    switch (op) {
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul:
-      case BinaryOp::kDiv:
-        return arith(op, lhs, rhs, dialect_);
-      default:
-        return boolean(compare(op, lhs, rhs, dialect_));
+    if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
+      return logic(op, lhs, rhs, dialect_);
     }
+    return binary(op, lhs, rhs, dialect_);
   }
 
   Result lower_node(const Binary& binary) {
@@ -161,9 +141,9 @@ class Program::Lowerer {
     const OpCode combiner = static_cast<OpCode>(binary.op);
     const Result lhs = lower(*binary.lhs);
     if (lhs.constant) {
-      const Tri decided = truth(lhs.value);
+      const Tri decided = truth_of(lhs.value, dialect_);
       if (decided == (is_and ? Tri::kFalse : Tri::kTrue)) {
-        return {true, boolean(decided)};
+        return {true, truth_value(decided, dialect_)};
       }
       const std::size_t mark = out_.code_.size();
       const Result rhs = lower(*binary.rhs);
@@ -190,42 +170,25 @@ class Program::Lowerer {
     return {};
   }
 
-  Result lower_node(const Between& between) {
+  Result lower_node(const Between& node) {
     std::vector<Operand> operands;
-    if (lower_operands(
-            {between.value.get(), between.low.get(), between.high.get()},
-            operands)) {
-      const Val& value = operands[0].result.value;
-      const Val& low = operands[1].result.value;
-      const Val& high = operands[2].result.value;
-      if (value.null() || low.null() || high.null()) return {true, Val{}};
-      const Tri result =
-          tri_and(compare(BinaryOp::kGe, value, low, dialect_),
-                  compare(BinaryOp::kLe, value, high, dialect_));
-      return {true, boolean(between.negated ? tri_not(result) : result)};
+    if (lower_operands({node.value.get(), node.low.get(), node.high.get()},
+                       operands)) {
+      return {true, between(operands[0].result.value,
+                            operands[1].result.value,
+                            operands[2].result.value, node.negated,
+                            dialect_)};
     }
-    emit(Op{OpCode::kBetween, between.negated});
+    emit(Op{OpCode::kBetween, node.negated});
     return {};
   }
 
   Result lower_node(const InList& in) {
     const Result value = lower(*in.value);
     if (value.constant) {
-      const Val& v = value.value;
-      if (v.null()) return {true, Val{}};
-      if (dialect_.in_strings_only && v.kind != Val::Kind::kStr) {
-        return {true, Val{}};
-      }
-      bool found = false;
-      for (const Literal& option : in.options) {
-        const Val ov = option.get();
-        if (!ov.null() &&
-            compare(BinaryOp::kEq, v, ov, dialect_) == Tri::kTrue) {
-          found = true;
-          break;
-        }
-      }
-      return {true, boolean(in.negated ? !found : found)};
+      return {true, in_list(value.value, in.options,
+                            [](const Literal& option) { return option.get(); },
+                            in.negated, dialect_)};
     }
     const auto offset = static_cast<std::uint32_t>(out_.list_pool_.size());
     for (const Literal& option : in.options) {
@@ -236,26 +199,23 @@ class Program::Lowerer {
     return {};
   }
 
-  Result lower_node(const Like& like) {
-    const Result value = lower(*like.value);
+  Result lower_node(const Like& node) {
+    const Result value = lower(*node.value);
     if (value.constant) {
-      if (value.value.kind != Val::Kind::kStr) return {true, Val{}};
-      const bool matched =
-          like_match(*value.value.s, like.pattern, like.escape);
-      return {true, boolean(like.negated ? !matched : matched)};
+      return {true, like(value.value, node.pattern, node.escape,
+                         node.negated, dialect_)};
     }
-    emit(Op{OpCode::kLike, like.negated, add_text(like.pattern),
-            static_cast<unsigned char>(like.escape)});
+    emit(Op{OpCode::kLike, node.negated, add_text(node.pattern),
+            static_cast<unsigned char>(node.escape)});
     return {};
   }
 
-  Result lower_node(const IsNull& isnull) {
-    const Result value = lower(*isnull.value);
+  Result lower_node(const IsNull& node) {
+    const Result value = lower(*node.value);
     if (value.constant) {
-      const bool null = value.value.null();
-      return {true, boolean(isnull.negated ? !null : null)};
+      return {true, is_null(value.value, node.negated, dialect_)};
     }
-    emit(Op{OpCode::kIsNull, isnull.negated});
+    emit(Op{OpCode::kIsNull, node.negated});
     return {};
   }
 

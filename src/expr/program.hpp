@@ -26,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,7 @@ class Program {
     kOr,
     kPushConst,  ///< a = constant-pool index
     kLoad,       ///< a = load operand (row index or name index)
+    // Unary operators, in UnaryOp order.
     kNeg,
     kPos,
     kNot,
@@ -157,14 +159,6 @@ Tri Program::run(const Load& load) const {
     stack = heap_stack.data();
   }
   std::size_t top = 0;
-  const auto boolean = [](Tri t) { return truth_value(t, D); };
-  const auto between = [](const Val& value, const Val& low, const Val& high,
-                          bool negated) {
-    if (value.null() || low.null() || high.null()) return Val{};
-    const Tri result = tri_and(compare(BinaryOp::kGe, value, low, D),
-                               compare(BinaryOp::kLe, value, high, D));
-    return truth_value(negated ? tri_not(result) : result, D);
-  };
 
   const std::size_t end = code_.size();
   std::size_t pc = 0;
@@ -178,25 +172,18 @@ Tri Program::run(const Load& load) const {
         stack[top++] = load(op.a);
         break;
       case OpCode::kNeg:
-        stack[top - 1] = negate(stack[top - 1]);
-        break;
       case OpCode::kPos:
-        stack[top - 1] = plus(stack[top - 1]);
+      case OpCode::kNot: {
+        const auto unary_op = static_cast<UnaryOp>(
+            static_cast<std::uint8_t>(op.code) -
+            static_cast<std::uint8_t>(OpCode::kNeg));
+        stack[top - 1] = unary(unary_op, stack[top - 1], D);
         break;
-      case OpCode::kNot:
-        stack[top - 1] = boolean(tri_not(truth_of(stack[top - 1], D)));
-        break;
+      }
       case OpCode::kAdd:
       case OpCode::kSub:
       case OpCode::kMul:
-      case OpCode::kDiv: {
-        const Val rhs = stack[--top];
-        Val& lhs = stack[top - 1];
-        lhs = (lhs.null() || rhs.null())
-                  ? Val{}
-                  : arith(binary_op(op.code), lhs, rhs, D);
-        break;
-      }
+      case OpCode::kDiv:
       case OpCode::kCmpEq:
       case OpCode::kCmpNeq:
       case OpCode::kCmpLt:
@@ -204,80 +191,41 @@ Tri Program::run(const Load& load) const {
       case OpCode::kCmpGt:
       case OpCode::kCmpGe: {
         const Val rhs = stack[--top];
-        Val& lhs = stack[top - 1];
-        lhs = (lhs.null() || rhs.null())
-                  ? Val{}
-                  : boolean(compare(binary_op(op.code), lhs, rhs, D));
+        stack[top - 1] = binary(binary_op(op.code), stack[top - 1], rhs, D);
         break;
       }
-      case OpCode::kAnd: {
-        const Val rhs = stack[--top];
-        Val& lhs = stack[top - 1];
-        lhs = boolean(tri_and(truth_of(lhs, D), truth_of(rhs, D)));
-        break;
-      }
+      case OpCode::kAnd:
       case OpCode::kOr: {
         const Val rhs = stack[--top];
-        Val& lhs = stack[top - 1];
-        lhs = boolean(tri_or(truth_of(lhs, D), truth_of(rhs, D)));
+        stack[top - 1] = logic(binary_op(op.code), stack[top - 1], rhs, D);
         break;
       }
       case OpCode::kBetween: {
         const Val high = stack[--top];
         const Val low = stack[--top];
-        Val& value = stack[top - 1];
-        value = between(value, low, high, op.negated);
+        stack[top - 1] = between(stack[top - 1], low, high, op.negated, D);
         break;
       }
-      case OpCode::kIn: {
-        Val& value = stack[top - 1];
-        if (value.null()) break;  // stays NULL
-        if (D.in_strings_only && value.kind != Val::Kind::kStr) {
-          value = Val{};
-          break;
-        }
-        bool found = false;
-        for (std::uint32_t i = 0; i < op.b; ++i) {
-          const Val& option = list_pool_[op.a + i];
-          if (!option.null() &&
-              compare(BinaryOp::kEq, value, option, D) == Tri::kTrue) {
-            found = true;
-            break;
-          }
-        }
-        value = truth_value(op.negated ? !found : found, D);
+      case OpCode::kIn:
+        stack[top - 1] = in_list(stack[top - 1],
+                                 std::span(list_pool_).subspan(op.a, op.b),
+                                 std::identity{}, op.negated, D);
         break;
-      }
-      case OpCode::kLike: {
-        Val& value = stack[top - 1];
-        if (value.kind != Val::Kind::kStr) {
-          value = Val{};
-          break;
-        }
-        const bool matched =
-            like_match(*value.s, texts_[op.a], static_cast<char>(op.b));
-        value = truth_value(op.negated ? !matched : matched, D);
+      case OpCode::kLike:
+        stack[top - 1] = like(stack[top - 1], texts_[op.a],
+                              static_cast<char>(op.b), op.negated, D);
         break;
-      }
-      case OpCode::kIsNull: {
-        Val& value = stack[top - 1];
-        const bool null = value.null();
-        value = truth_value(op.negated ? !null : null, D);
+      case OpCode::kIsNull:
+        stack[top - 1] = is_null(stack[top - 1], op.negated, D);
         break;
-      }
-      case OpCode::kAndSkip: {
-        Val& v = stack[top - 1];
-        if (truth_of(v, D) == Tri::kFalse) {
-          v = boolean(Tri::kFalse);
-          pc += op.a;
-          continue;
-        }
-        break;
-      }
+      case OpCode::kAndSkip:
       case OpCode::kOrSkip: {
+        // A deciding value (FALSE for AND, TRUE for OR) is the result.
+        const Tri decides =
+            op.code == OpCode::kAndSkip ? Tri::kFalse : Tri::kTrue;
         Val& v = stack[top - 1];
-        if (truth_of(v, D) == Tri::kTrue) {
-          v = boolean(Tri::kTrue);  // normalizes nonzero ints, as kOr would
+        if (truth_of(v, D) == decides) {
+          v = truth_value(decides, D);  // normalizes nonzero ints
           pc += op.a;
           continue;
         }
@@ -289,20 +237,16 @@ Tri Program::run(const Load& load) const {
       case OpCode::kCmpColConstLe:
       case OpCode::kCmpColConstGt:
       case OpCode::kCmpColConstGe: {
-        const Val lhs = load(op.a);
-        const Val& rhs = consts_[op.b];
         const auto base = static_cast<BinaryOp>(
             static_cast<std::uint8_t>(BinaryOp::kEq) +
             (static_cast<std::uint8_t>(op.code) -
              static_cast<std::uint8_t>(OpCode::kCmpColConstEq)));
-        stack[top++] = (lhs.null() || rhs.null())
-                           ? Val{}
-                           : boolean(compare(base, lhs, rhs, D));
+        stack[top++] = binary(base, load(op.a), consts_[op.b], D);
         break;
       }
       case OpCode::kBetweenColConst:
-        stack[top++] =
-            between(load(op.a), consts_[op.b], consts_[op.b + 1], op.negated);
+        stack[top++] = between(load(op.a), consts_[op.b], consts_[op.b + 1],
+                               op.negated, D);
         break;
     }
     ++pc;

@@ -46,6 +46,8 @@ enum class BinaryOp {
   kOr,
 };
 
+enum class UnaryOp { kNeg, kPos, kNot };
+
 /// Tagged scalar. Strings are borrowed: they point into an AST literal, a
 /// program's constant pool, or the row / message being evaluated. Integers
 /// of every width are kInt and floats are kDouble; booleans (kBool) exist
@@ -265,5 +267,79 @@ template <typename T>
 /// makes the character after it literal.
 [[nodiscard]] bool like_match(const std::string& text,
                               const std::string& pattern, char escape);
+
+// --- operators as the interpreter, the folder and the program apply them --
+
+[[nodiscard]] inline Val unary(UnaryOp op, const Val& v,
+                               const Dialect& dialect) {
+  switch (op) {
+    case UnaryOp::kNeg:
+      return negate(v);
+    case UnaryOp::kPos:
+      return plus(v);
+    case UnaryOp::kNot:
+      break;
+  }
+  return truth_value(tri_not(truth_of(v, dialect)), dialect);
+}
+
+/// AND / OR over both operands' truth values.
+[[nodiscard]] inline Val logic(BinaryOp op, const Val& lhs, const Val& rhs,
+                               const Dialect& dialect) {
+  const Tri a = truth_of(lhs, dialect);
+  const Tri b = truth_of(rhs, dialect);
+  return truth_value(op == BinaryOp::kAnd ? tri_and(a, b) : tri_or(a, b),
+                     dialect);
+}
+
+/// Arithmetic or comparison; NULL when either operand is NULL.
+[[nodiscard]] inline Val binary(BinaryOp op, const Val& lhs, const Val& rhs,
+                                const Dialect& dialect) {
+  if (lhs.null() || rhs.null()) return Val{};
+  if (op <= BinaryOp::kDiv) return arith(op, lhs, rhs, dialect);
+  return truth_value(compare(op, lhs, rhs, dialect), dialect);
+}
+
+[[nodiscard]] inline Val between(const Val& value, const Val& low,
+                                 const Val& high, bool negated,
+                                 const Dialect& dialect) {
+  if (value.null() || low.null() || high.null()) return Val{};
+  const Tri result = tri_and(compare(BinaryOp::kGe, value, low, dialect),
+                             compare(BinaryOp::kLe, value, high, dialect));
+  return truth_value(negated ? tri_not(result) : result, dialect);
+}
+
+/// value [NOT] IN (options); `option_val` maps an element of `options` to
+/// its Val. A NULL option never matches.
+template <typename Options, typename OptionVal>
+[[nodiscard]] Val in_list(const Val& value, const Options& options,
+                          OptionVal option_val, bool negated,
+                          const Dialect& dialect) {
+  if (value.null()) return Val{};
+  if (dialect.in_strings_only && value.kind != Val::Kind::kStr) return Val{};
+  bool found = false;
+  for (const auto& option : options) {
+    const Val ov = option_val(option);
+    if (!ov.null() &&
+        compare(BinaryOp::kEq, value, ov, dialect) == Tri::kTrue) {
+      found = true;
+      break;
+    }
+  }
+  return truth_value(negated != found, dialect);
+}
+
+[[nodiscard]] inline Val like(const Val& value, const std::string& pattern,
+                              char escape, bool negated,
+                              const Dialect& dialect) {
+  if (value.kind != Val::Kind::kStr) return Val{};
+  return truth_value(negated != like_match(*value.s, pattern, escape),
+                     dialect);
+}
+
+[[nodiscard]] inline Val is_null(const Val& value, bool negated,
+                                 const Dialect& dialect) {
+  return truth_value(negated != value.null(), dialect);
+}
 
 }  // namespace gridmon::expr
