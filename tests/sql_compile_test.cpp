@@ -142,11 +142,25 @@ class ExprGen {
       case 7:
         return make_expr(IsNull{rng_() % 2 == 0, expr(depth - 1)});
       default:
-        return make_expr(literal());
+        return fusable();
     }
   }
 
  private:
+  /// `identifier OP literal` and `identifier [NOT] BETWEEN literal AND
+  /// literal`: the shapes the peephole pass fuses into one op.
+  expr::ExprPtr fusable() {
+    const auto column = [&] {
+      return make_expr(Identifier{kColumns[rng_() % std::size(kColumns)]});
+    };
+    if (rng_() % 2 == 0) {
+      return make_expr(Between{rng_() % 2 == 0, column(),
+                               make_expr(literal()), make_expr(literal())});
+    }
+    const BinaryOp comparison = kBinaryOps[4 + rng_() % 6];  // kEq..kGe
+    return make_expr(Binary{comparison, column(), make_expr(literal())});
+  }
+
   UnaryOp unary_op() {
     switch (rng_() % (dialect_.unary_plus ? 3 : 2)) {
       case 0:
