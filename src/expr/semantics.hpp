@@ -180,11 +180,6 @@ inline constexpr Dialect Dialect::kSql{
   return Val{};  // NULL, string or boolean
 }
 
-/// JMS unary plus: numbers pass through, anything else is NULL.
-[[nodiscard]] inline Val plus(const Val& v) {
-  return v.numeric() ? v : Val{};
-}
-
 /// + - * / on non-NULL operands. Integer division by zero is NULL.
 [[nodiscard]] inline Val arith(BinaryOp op, const Val& lhs, const Val& rhs,
                                const Dialect& dialect) {
@@ -276,7 +271,7 @@ template <typename T>
     case UnaryOp::kNeg:
       return negate(v);
     case UnaryOp::kPos:
-      return plus(v);
+      return v.numeric() ? v : Val{};  // JMS: anything else is NULL
     case UnaryOp::kNot:
       break;
   }
