@@ -5,13 +5,19 @@
 // properties (visible to selectors), and a typed body. The paper's workload
 // uses MapMessage bodies with the exact field mix it describes (2 int,
 // 5 float, 2 long, 3 double, 4 string).
+//
+// A published message is sealed: `seal()` turns it into an immutable
+// MessagePtr and stores its wire size once, so every hop after publish
+// reads the size instead of re-walking the fields.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -28,9 +34,42 @@ enum class AcknowledgeMode {
   kDupsOkAcknowledge,
 };
 
+/// Name → typed value, kept sorted by name in one flat vector: one
+/// allocation per message part instead of one tree node per field.
+class Fields {
+ public:
+  using Entry = std::pair<std::string, Value>;
+
+  Fields() = default;
+  /// A repeated name keeps its last value, as repeated set() calls would.
+  Fields(std::initializer_list<Entry> entries);
+
+  /// Overwrites the value under `name` in place, or inserts it in order.
+  void set(const std::string& name, Value value);
+  /// The value under `name`, or nullptr.
+  [[nodiscard]] const Value* find(std::string_view name) const {
+    const auto it =
+        std::lower_bound(entries_.begin(), entries_.end(), name, name_less);
+    return it != entries_.end() && it->first == name ? &it->second : nullptr;
+  }
+
+  void reserve(std::size_t count) { entries_.reserve(count); }
+  [[nodiscard]] auto begin() const { return entries_.begin(); }
+  [[nodiscard]] auto end() const { return entries_.end(); }
+
+  friend bool operator==(const Fields&, const Fields&) = default;
+
+ private:
+  static bool name_less(const Entry& entry, std::string_view name) {
+    return entry.first < name;
+  }
+
+  std::vector<Entry> entries_;
+};
+
 /// MapMessage body: name → typed value.
 struct MapBody {
-  std::map<std::string, Value> entries;
+  Fields entries;
 };
 
 /// TextMessage body.
@@ -44,6 +83,11 @@ struct BytesBody {
 };
 
 using Body = std::variant<std::monostate, MapBody, TextBody, BytesBody>;
+
+class Message;
+
+/// A published message: immutable, its wire size sealed at publish.
+using MessagePtr = std::shared_ptr<const Message>;
 
 class Message {
  public:
@@ -61,7 +105,7 @@ class Message {
 
   // --- properties (selector-visible) ---
   void set_property(const std::string& name, Value value) {
-    properties_[name] = std::move(value);
+    properties_.set(name, std::move(value));
   }
   /// Property lookup as selectors see it: missing → NULL, plus the JMSX /
   /// JMS header pseudo-properties selectors may reference.
@@ -71,9 +115,7 @@ class Message {
   /// are passed by reference into this message.
   template <typename Visit>
   auto visit_property(const std::string& name, Visit&& visit) const;
-  [[nodiscard]] const std::map<std::string, Value>& properties() const {
-    return properties_;
-  }
+  [[nodiscard]] const Fields& properties() const { return properties_; }
 
   // --- body ---
   Body body;
@@ -85,11 +127,32 @@ class Message {
   void map_set(const std::string& name, Value value);
   [[nodiscard]] Value map_get(const std::string& name) const;
 
-  /// Approximate serialised size: headers + properties + body.
+  /// Approximate serialised size: headers + properties + body. A sealed
+  /// message returns the size stored by seal(); any other message is
+  /// sized afresh.
   [[nodiscard]] std::int64_t wire_size() const;
+  /// True for a message made by seal().
+  [[nodiscard]] bool sealed() const { return sealed_size_.bytes >= 0; }
 
  private:
-  std::map<std::string, Value> properties_;
+  friend MessagePtr seal(Message message);
+
+  /// The size stored by seal(). A copy or a move of the message does not
+  /// take it along, so a copy that is changed afterwards is sized afresh.
+  struct SealedSize {
+    std::int64_t bytes = -1;
+    SealedSize() = default;
+    SealedSize(const SealedSize&) noexcept {}
+    SealedSize& operator=(const SealedSize&) noexcept {
+      bytes = -1;
+      return *this;
+    }
+  };
+
+  [[nodiscard]] std::int64_t compute_wire_size() const;
+
+  Fields properties_;
+  SealedSize sealed_size_;
 };
 
 template <typename Visit>
@@ -111,16 +174,17 @@ auto Message::visit_property(const std::string& name, Visit&& visit) const {
     return visit(delivery_mode == DeliveryMode::kPersistent ? kPersistent
                                                             : kNonPersistent);
   }
-  const auto it = properties_.find(name);
-  if (it == properties_.end()) return visit(NullValue{});
-  return std::visit(visit, it->second);
+  const Value* value = properties_.find(name);
+  if (value == nullptr) return visit(NullValue{});
+  return std::visit(visit, *value);
 }
 
-using MessagePtr = std::shared_ptr<const Message>;
+/// Publishes `message`: makes it immutable and stores its wire size. Call
+/// it once the provider has stamped the headers.
+[[nodiscard]] MessagePtr seal(Message message);
 
 /// Convenience builders.
-Message make_map_message(std::string destination,
-                         std::map<std::string, Value> entries);
+Message make_map_message(std::string destination, Fields entries);
 Message make_text_message(std::string destination, std::string text);
 
 }  // namespace gridmon::jms

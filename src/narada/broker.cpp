@@ -358,12 +358,18 @@ void Broker::deliver_local(const jms::MessagePtr& message,
   // Zero-copy fan-out: one immutable frame shared by every local delivery.
   // Clients consuming a kDeliver read only kind/topic/message (acking is
   // governed by their own mode), and the wire size is field-independent,
-  // so the per-subscriber Frame allocation was pure overhead.
-  auto deliver = std::make_shared<const Frame>(
-      Frame{FrameKind::kDeliver, topic, {}, jms::AcknowledgeMode::kAutoAcknowledge,
-            0, message, -1, -1, {}});
-  const std::int64_t wire = frame_wire_size(*deliver);
+  // so the per-subscriber Frame allocation was pure overhead. The frame is
+  // built on the first match: under DBN broadcast most brokers have none.
+  FramePtr deliver;
+  std::int64_t wire = 0;
   auto send_to = [&](const Subscription& sub) {
+    if (!deliver) {
+      deliver = std::make_shared<const Frame>(
+          Frame{FrameKind::kDeliver, topic, {},
+                jms::AcknowledgeMode::kAutoAcknowledge, 0, message, -1, -1,
+                {}});
+      wire = frame_wire_size(*deliver);
+    }
     if (sub.via_udp) {
       lan_.send_datagram(config_.endpoint, sub.udp, wire, deliver);
     } else if (sub.conn && sub.conn->open()) {

@@ -49,6 +49,35 @@ TEST(Payloads, PaddingGrowsTheWireSize) {
   EXPECT_GE(padded.wire_size() - base.wire_size(), 860);
 }
 
+// The exact sizes the message had before messages were sealed at publish
+// and their fields stored flat: neither change may move a simulated byte.
+TEST(Payloads, GeneratorMessageWireSizeIsPinned) {
+  util::Rng rng1(1);
+  util::Rng rng2(1);
+  const auto plain =
+      make_generator_message("powergrid/monitoring", 42, 7, 3, rng1, 0);
+  const auto padded =
+      make_generator_message("powergrid/monitoring", 42, 7, 3, rng2, 1024);
+  EXPECT_EQ(plain.wire_size(), 395);
+  EXPECT_EQ(padded.wire_size(), 1426);
+}
+
+TEST(Payloads, SealedSizeEqualsAFreshComputation) {
+  for (const std::int64_t pad : {0, 1024}) {
+    util::Rng rng(1);
+    jms::Message msg =
+        make_generator_message("powergrid/monitoring", 42, 7, 3, rng, pad);
+    msg.message_id = "ID:3-9001-17";
+    msg.timestamp = units::seconds(5);
+    const jms::MessagePtr sealed = jms::seal(msg);
+    ASSERT_TRUE(sealed->sealed());
+    EXPECT_EQ(sealed->wire_size(), msg.wire_size()) << pad;
+    const jms::Message copy = *sealed;
+    EXPECT_FALSE(copy.sealed());
+    EXPECT_EQ(copy.wire_size(), sealed->wire_size()) << pad;
+  }
+}
+
 TEST(Payloads, RgmaTableHasThePaperColumnMix) {
   const rgma::TableDef table = generator_table("generators");
   EXPECT_EQ(table.name(), "generators");

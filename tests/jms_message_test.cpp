@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "jms/destination.hpp"
 #include "jms/value.hpp"
 
@@ -124,6 +129,94 @@ TEST(Message, PaperPayloadIsAFewHundredBytes) {
   }
   EXPECT_GT(msg.wire_size(), 250);
   EXPECT_LT(msg.wire_size(), 800);
+}
+
+TEST(Message, SettingAnExistingNameOverwritesInPlace) {
+  Message msg = make_map_message("t", {{"a", Value{std::int32_t{1}}}});
+  msg.map_set("a", std::string("two"));
+  msg.set_property("p", std::int32_t{1});
+  msg.set_property("p", 2.5);
+  const auto count = [](const Fields& fields) {
+    return std::distance(fields.begin(), fields.end());
+  };
+  EXPECT_EQ(count(std::get<MapBody>(msg.body).entries), 1);
+  EXPECT_EQ(std::get<std::string>(msg.map_get("a")), "two");
+  EXPECT_EQ(count(msg.properties()), 1);
+  EXPECT_DOUBLE_EQ(std::get<double>(msg.property("p")), 2.5);
+  // A repeated name in a builder list keeps its last value.
+  const Fields listed{{"k", Value{std::int32_t{1}}}, {"k", Value{true}}};
+  ASSERT_EQ(count(listed), 1);
+  EXPECT_TRUE(std::get<bool>(*listed.find("k")));
+}
+
+TEST(Message, MissingNamesReadNull) {
+  Message msg = make_map_message("t", {{"b", Value{1.0}}});
+  msg.set_property("b", std::int32_t{1});
+  for (const char* name : {"a", "c", "", "bb"}) {
+    EXPECT_TRUE(is_null(msg.map_get(name))) << name;
+    EXPECT_TRUE(is_null(msg.property(name))) << name;
+  }
+  EXPECT_EQ(Fields{}.find("a"), nullptr);
+}
+
+TEST(Message, FieldsIterateInNameOrder) {
+  Message msg;
+  const std::vector<std::string> inserted = {"zeta", "alpha", "mid", "beta",
+                                             "omega", "a", "zz"};
+  for (const auto& name : inserted) {
+    msg.map_set(name, std::int32_t{0});
+    msg.set_property(name, std::int32_t{0});
+  }
+  std::vector<std::string> sorted = inserted;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::string> body_order;
+  for (const auto& [name, value] : std::get<MapBody>(msg.body).entries) {
+    body_order.push_back(name);
+  }
+  std::vector<std::string> property_order;
+  for (const auto& [name, value] : msg.properties()) {
+    property_order.push_back(name);
+  }
+  EXPECT_EQ(body_order, sorted);
+  EXPECT_EQ(property_order, sorted);
+}
+
+TEST(Message, HeaderPseudoPropertiesShadowUserProperties) {
+  Message msg;
+  msg.priority = 7;
+  msg.message_id = "ID:x";
+  msg.set_property("JMSPriority", std::int32_t{1});
+  msg.set_property("JMSMessageID", std::string("user"));
+  msg.set_property("JMSDeliveryMode", std::string("user"));
+  EXPECT_EQ(std::get<std::int32_t>(msg.property("JMSPriority")), 7);
+  EXPECT_EQ(std::get<std::string>(msg.property("JMSMessageID")), "ID:x");
+  EXPECT_EQ(std::get<std::string>(msg.property("JMSDeliveryMode")),
+            "NON_PERSISTENT");
+  // An unset header still reads NULL, not the user property of its name.
+  msg.set_property("JMSType", std::string("user"));
+  EXPECT_TRUE(is_null(msg.property("JMSType")));
+}
+
+TEST(Message, CopiesOfASealedMessageAreSizedAfresh) {
+  const MessagePtr sealed =
+      seal(make_map_message("t", {{"a", Value{std::int32_t{1}}}}));
+  const std::int64_t sealed_size = sealed->wire_size();
+
+  Message copy = *sealed;
+  EXPECT_FALSE(copy.sealed());
+  copy.map_set("b", std::string(100, 'x'));
+  EXPECT_EQ(copy.wire_size(), sealed_size + 1 + 2 + 102);
+
+  Message assigned;
+  assigned = *sealed;
+  EXPECT_FALSE(assigned.sealed());
+  assigned.destination = "topic";  // a header write no setter sees
+  EXPECT_EQ(assigned.wire_size(), sealed_size + 4);
+
+  Message moved = std::move(assigned);
+  moved.set_property("p", std::int32_t{1});
+  EXPECT_EQ(moved.wire_size(), sealed_size + 4 + 1 + 2 + 4);
+  EXPECT_EQ(sealed->wire_size(), sealed_size);
 }
 
 TEST(Destination, Helpers) {

@@ -3,9 +3,12 @@
 // and the §III.D Web Services proxy cost model.
 #include <gtest/gtest.h>
 
+#include "cluster/hydra.hpp"
 #include "core/experiment.hpp"
 #include "core/payloads.hpp"
 #include "gma/webservices.hpp"
+#include "narada/client.hpp"
+#include "narada/dbn.hpp"
 
 namespace gridmon {
 namespace {
@@ -75,6 +78,51 @@ TEST(SoapModel, CodecDemandScalesWithMessageSize) {
   big.map_set("blob", std::string(5000, 'x'));
   gma::SoapCostModel model;
   EXPECT_GT(model.codec_demand(big), 2 * model.codec_demand(small));
+}
+
+// The WS proxy measures the binary message, pads it with the envelope
+// inflation, then publishes it; publish seals the padded size. The sizes
+// below are the ones the proxy path produced before messages were sealed.
+TEST(SoapModel, ProxyMeasureThenPadSizesArePinned) {
+  cluster::Hydra hydra{cluster::HydraConfig{.seed = 3}};
+  narada::DbnConfig config;
+  config.broker_hosts = {0};
+  narada::Dbn dbn(hydra, config);
+  dbn.start();
+  auto sub = narada::NaradaClient::create(
+      hydra.host(1), hydra.lan(), hydra.streams(), dbn.broker_endpoint(0),
+      net::Endpoint{1, 9000}, narada::TransportKind::kTcp);
+  auto pub = narada::NaradaClient::create(
+      hydra.host(2), hydra.lan(), hydra.streams(), dbn.broker_endpoint(0),
+      net::Endpoint{2, 9001}, narada::TransportKind::kTcp);
+  const gma::SoapCostModel model;
+  gma::WsProxyPublisher proxy(hydra.host(2), pub, model);
+
+  jms::MessagePtr delivered;
+  sub->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    sub->subscribe("t", "", jms::AcknowledgeMode::kAutoAcknowledge,
+                   [&](const jms::MessagePtr& msg, SimTime) {
+                     delivered = msg;
+                   });
+  });
+  util::Rng rng(1);
+  jms::Message msg = core::make_generator_message("t", 42, 7, 2, rng);
+  EXPECT_EQ(msg.wire_size(), 376);
+  EXPECT_EQ(model.soap_wire_size(msg), 1617);
+  pub->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    proxy.publish(std::move(msg));
+  });
+  hydra.sim().run_until(units::seconds(10));
+
+  ASSERT_TRUE(delivered);
+  ASSERT_TRUE(delivered->sealed());
+  EXPECT_EQ(delivered->message_id, "ID:2-9001-1");
+  // 1617 - 376 pad bytes under "soap_envelope", plus the stamped id.
+  EXPECT_EQ(delivered->wire_size(), 1645);
+  EXPECT_EQ(jms::Message(*delivered).wire_size(), delivered->wire_size());
+  EXPECT_EQ(model.soap_wire_size(*delivered), 4917);
 }
 
 }  // namespace
