@@ -33,6 +33,7 @@
 
 #include "cluster/hydra.hpp"
 #include "core/experiment.hpp"
+#include "core/message_id.hpp"
 #include "core/payloads.hpp"
 #include "util/rng.hpp"
 
@@ -163,8 +164,17 @@ class PublishLoop {
   std::function<void()> publish_;
 };
 
-/// Span identity of an in-flight key: the hash of a message id, or the
-/// (generator, sequence) pair a row key packs.
+/// The id a client at `local` stamps on its publish number `seq`.
+[[nodiscard]] inline MessageId message_id(net::Endpoint local,
+                                          std::int64_t seq) {
+  return MessageId{local.node, local.port, seq};
+}
+
+/// Span identity of an in-flight key: the hash of a message id (parsed or
+/// as text), or the (generator, sequence) pair a row key packs.
+[[nodiscard]] inline obs::TraceKey trace_key(const MessageId& id) {
+  return obs::key_of(id);
+}
 [[nodiscard]] inline obs::TraceKey trace_key(const std::string& message_id) {
   return obs::key_of(message_id);
 }
@@ -192,12 +202,25 @@ class InFlight {
     records_.emplace(std::move(key), std::move(record));
   }
 
-  /// The middleware finished sending `key` at `after` (PRT endpoint).
-  /// False when the record is already gone.
-  bool sent(const Key& key, SimTime after) {
+  /// A generator publishes `key` at `before`: counts it as sent, records
+  /// it in flight and marks the span "pub". Counting at publish intent,
+  /// not at send completion, keeps a sample stuck in a disconnected
+  /// client's backlog visible as a loss (fault-free runs are unchanged:
+  /// every publish completes).
+  void publish(Key key, SimTime before) {
+    harness_.metrics().count_sent();
+    mark(key, "pub", before);
+    records_.emplace(std::move(key), Record{before, before});
+  }
+
+  /// The middleware finished sending `key` at `after` (PRT endpoint);
+  /// marks the span with `stage` at `after` (null = untraced). False, and
+  /// no mark, when the record is already gone.
+  bool sent(const Key& key, SimTime after, const char* stage = "sent") {
     const auto it = records_.find(key);
     if (it == records_.end()) return false;
     it->second.after_sending = after;
+    if (stage != nullptr) mark(key, stage, after);
     return true;
   }
 
@@ -239,6 +262,13 @@ class InFlight {
   }
 
  private:
+  static void mark(const Key& key, const char* stage, SimTime at) {
+    if constexpr (!obs::kEnabled) return;
+    if (obs::Recorder* r = obs::tracer()) {
+      r->mark_at(trace_key(key), stage, at);
+    }
+  }
+
   Harness& harness_;
   std::unordered_map<Key, Record> records_;
 };

@@ -214,12 +214,11 @@ class Regional {
       // The client stamps "ID:node-port-<n>" with its own counter starting
       // at 1, so the key uses the post-increment sequence (the same idiom
       // as the flat Narada harness).
-      const std::string key = "ID:" + std::to_string(narada_->local().node) +
-                              "-" + std::to_string(narada_->local().port) +
-                              "-" + std::to_string(sequence_);
+      const std::string key =
+          message_id(narada_->local(), sequence_).to_string();
       run_.in_flight.add(key, record(std::move(frame)));
       narada_->publish(std::move(msg), [this, key](SimTime after) {
-        run_.in_flight.sent(key, after);
+        run_.in_flight.sent(key, after, /*stage=*/nullptr);
       });
     } else if (mqtt_) {
       const std::string key =
@@ -229,7 +228,7 @@ class Regional {
       run_.in_flight.add(key, record(std::move(frame)));
       mqtt_->publish(topic, payload, /*qos=*/0, /*retain=*/false, key,
                      [this, key](SimTime after) {
-                       run_.in_flight.sent(key, after);
+                       run_.in_flight.sent(key, after, /*stage=*/nullptr);
                      });
     } else {
       // R-GMA rows are fixed-size (the paper's 16-column schema), so the
@@ -241,7 +240,7 @@ class Regional {
       run_.rgma_in_flight.add(key, record(std::move(frame)));
       producer_->insert(std::move(row), [this, key](bool ok, SimTime after) {
         if (ok) {
-          run_.rgma_in_flight.sent(key, after);
+          run_.rgma_in_flight.sent(key, after, /*stage=*/nullptr);
         } else {
           run_.rgma_in_flight.fail(key);
         }

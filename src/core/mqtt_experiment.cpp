@@ -41,7 +41,7 @@ constexpr std::uint16_t kBrokerPort = 1883;
 /// period — same sensor coverage, 1/batch the packet count.
 class MqttGenerator {
  public:
-  MqttGenerator(Harness& harness, InFlight<std::string>& in_flight, int host,
+  MqttGenerator(Harness& harness, InFlight<MessageId>& in_flight, int host,
                 net::Endpoint broker, const MqttConfig& config,
                 std::int64_t id)
       : harness_(harness),
@@ -49,7 +49,12 @@ class MqttGenerator {
         config_(config),
         id_(id),
         rng_(harness.sim().rng_stream("generator").stream(
-            static_cast<std::uint64_t>(id))) {
+            static_cast<std::uint64_t>(id))),
+        topic_("powergrid/feeder" + std::to_string(id % 16) + "/gen" +
+               std::to_string(id)),
+        payload_bytes_((cluster::costs::kMqttSampleBytes +
+                        config.fleet.pad_bytes) *
+                       config.gateway_batch) {
     cluster::Hydra& hydra = harness.hydra();
     const auto port = static_cast<std::uint16_t>(10000 + id % 50000);
     mqtt::MqttClientOptions options;
@@ -91,33 +96,23 @@ class MqttGenerator {
 
  private:
   void publish() {
-    const std::int64_t payload =
-        (cluster::costs::kMqttSampleBytes + config_.fleet.pad_bytes) *
-        config_.gateway_batch;
-    const std::string topic =
-        "powergrid/feeder" + std::to_string(id_ % 16) + "/gen" +
-        std::to_string(id_);
-    const SimTime before = harness_.sim().now();
-    const std::string key = "ID:" + std::to_string(client_->local().node) +
-                            "-" + std::to_string(client_->local().port) + "-" +
-                            std::to_string(sequence_++);
-    // Count at publish intent (see the Narada harness): a sample stuck in a
-    // disconnected client is a loss and must be visible as one.
-    harness_.metrics().count_sent();
-    in_flight_.add(key, SentRecord{before, before});
-    obs::mark_message(key, "pub");
-    client_->publish(topic, payload, publisher_qos(config_, id_),
-                     config_.retain_last, key, [this, key](SimTime after) {
-                       in_flight_.sent(key, after);
-                       obs::mark_message_at(key, "sent", after);
+    const MessageId id = message_id(client_->local(), sequence_++);
+    in_flight_.publish(id, harness_.sim().now());
+    client_->publish(topic_, payload_bytes_, publisher_qos(config_, id_),
+                     config_.retain_last, id.to_string(),
+                     [this, seq = id.seq](SimTime after) {
+                       in_flight_.sent(message_id(client_->local(), seq),
+                                       after);
                      });
   }
 
   Harness& harness_;
-  InFlight<std::string>& in_flight_;
+  InFlight<MessageId>& in_flight_;
   const MqttConfig& config_;
   std::int64_t id_;
   util::Rng rng_;
+  const std::string topic_;
+  const std::int64_t payload_bytes_;
   std::shared_ptr<mqtt::MqttClient> client_;
   PublishLoop loop_;
   std::int64_t sequence_ = 0;
@@ -169,7 +164,7 @@ Results run_mqtt_experiment(const MqttConfig& config) {
     };
   }
   harness.observe(config.obs, std::move(columns));
-  InFlight<std::string> in_flight(harness);
+  InFlight<MessageId> in_flight(harness);
 
   // The monitoring subscriber: one wildcard subscription covers the whole
   // fleet ('powergrid/#' also matches will/status topics).
@@ -195,8 +190,11 @@ Results run_mqtt_experiment(const MqttConfig& config) {
         [&harness, &in_flight](const mqtt::PacketPtr& packet,
                                SimTime arrived_at) {
           harness.on_delivery();
-          // Unknown ids are duplicates and will/status messages.
-          in_flight.deliver(packet->message_id, arrived_at);
+          // Unknown ids are duplicates and will/status messages (whose id
+          // is empty, so it does not parse).
+          if (const auto id = MessageId::parse(packet->message_id)) {
+            in_flight.deliver(*id, arrived_at);
+          }
         });
   });
 

@@ -26,7 +26,7 @@ constexpr const char* kTopic = "powergrid/monitoring";
 /// random 10–20 s so publications spread evenly, then publishes every 10 s.
 class Generator {
  public:
-  Generator(Harness& harness, InFlight<std::string>& in_flight, int host,
+  Generator(Harness& harness, InFlight<MessageId>& in_flight, int host,
             net::Endpoint broker, const NaradaConfig& config, std::int64_t id)
       : harness_(harness),
         in_flight_(in_flight),
@@ -68,24 +68,17 @@ class Generator {
                                               client_->local().node, rng_,
                                               config_.fleet.pad_bytes);
     msg.delivery_mode = config_.delivery_mode;
-    const SimTime before = harness_.sim().now();
-    const std::string key = "ID:" + std::to_string(client_->local().node) +
-                            "-" + std::to_string(client_->local().port) + "-" +
-                            std::to_string(sequence_);
-    // Count at publish intent, not send completion: a message stuck in a
-    // disconnected client's backlog is a loss, and must be visible as one.
-    // (Fault-free runs are unchanged — every publish completes.)
-    harness_.metrics().count_sent();
-    in_flight_.add(key, SentRecord{before, before});
-    obs::mark_message(key, "pub");
-    client_->publish(std::move(msg), [this, key](SimTime after) {
-      in_flight_.sent(key, after);
-      obs::mark_message_at(key, "sent", after);
+    // The client stamps "ID:node-port-<n>" with its own counter starting
+    // at 1, which the post-increment sequence matches.
+    const MessageId id = message_id(client_->local(), sequence_);
+    in_flight_.publish(id, harness_.sim().now());
+    client_->publish(std::move(msg), [this, seq = id.seq](SimTime after) {
+      in_flight_.sent(message_id(client_->local(), seq), after);
     });
   }
 
   Harness& harness_;
-  InFlight<std::string>& in_flight_;
+  InFlight<MessageId>& in_flight_;
   const NaradaConfig& config_;
   std::int64_t id_;
   util::Rng rng_;
@@ -155,7 +148,7 @@ Results run_narada_experiment(const NaradaConfig& config) {
     };
   }
   harness.observe(config.obs, std::move(columns));
-  InFlight<std::string> in_flight(harness);
+  InFlight<MessageId> in_flight(harness);
 
   // Subscriber programs.
   std::vector<std::shared_ptr<narada::NaradaClient>> subscribers;
@@ -163,7 +156,9 @@ Results run_narada_experiment(const NaradaConfig& config) {
     return [&harness, &in_flight](const jms::MessagePtr& message,
                                   SimTime arrived_at) {
       harness.on_delivery();
-      in_flight.deliver(message->message_id, arrived_at);
+      if (const auto id = MessageId::parse(message->message_id)) {
+        in_flight.deliver(*id, arrived_at);
+      }
     };
   };
   narada::ReconnectPolicy subscriber_policy = reconnect_policy(config.fleet);

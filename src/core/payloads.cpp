@@ -14,6 +14,7 @@ jms::Message make_generator_message(const std::string& topic,
   jms::Message msg = jms::make_map_message(topic, std::move(fields));
 
   // Selector-visible properties (the paper's subscriber uses "id<10000").
+  msg.reserve_properties(2);
   msg.set_property("id", static_cast<std::int32_t>(generator_id));
   msg.set_property("node", static_cast<std::int32_t>(origin_node));
 

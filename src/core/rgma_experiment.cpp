@@ -64,17 +64,11 @@ class RgmaGenerator {
     const SimTime before = harness_.sim().now();
     const std::int64_t seq = sequence_++;
     auto row = make_generator_row(id_, seq, before, rng_);
-    // Count at insert intent: a 503 from a crashed container is a loss and
-    // must be visible as one. (Fault-free runs are unchanged — inserts by
-    // declared producers always succeed.)
-    harness_.metrics().count_sent();
-    in_flight_.add(row_key(id_, seq), SentRecord{before, before});
-    obs::mark_row(id_, seq, "pub");
+    // A 503 from a crashed container is a loss, counted as sent at intent.
+    in_flight_.publish(row_key(id_, seq), before);
     producer_.insert(std::move(row), [this, seq](bool ok, SimTime after) {
       if (!ok) return in_flight_.fail(row_key(id_, seq));
-      if (in_flight_.sent(row_key(id_, seq), after)) {
-        obs::mark_row_at(id_, seq, "sent", after);
-      }
+      in_flight_.sent(row_key(id_, seq), after);
     });
   }
 

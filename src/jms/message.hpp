@@ -107,6 +107,8 @@ class Message {
   void set_property(const std::string& name, Value value) {
     properties_.set(name, std::move(value));
   }
+  /// Room for `count` properties, so setting them allocates once.
+  void reserve_properties(std::size_t count) { properties_.reserve(count); }
   /// Property lookup as selectors see it: missing → NULL, plus the JMSX /
   /// JMS header pseudo-properties selectors may reference.
   [[nodiscard]] Value property(const std::string& name) const;

@@ -200,11 +200,16 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
   session.will_retain = packet->will_retain;
   if (resumed) ++stats_.sessions_resumed;
 
-  // Route subsequent packets through the session; notice ungraceful
-  // connection loss (will publication) via the close handler.
+  // Route subsequent packets straight to the session, resolved once here
+  // rather than per packet: the map node outlives every delivery on this
+  // connection (see the invariant on sessions_). Ungraceful connection
+  // loss (will publication) is noticed via the close handler, which runs
+  // after the close and so may find the session gone: it looks it up.
   conn->set_handler(
       1,
-      [this, id](const net::Datagram& dg) { on_session_packet(id, dg); },
+      [this, target = &session](const net::Datagram& dg) {
+        on_session_packet(*target, dg);
+      },
       [this, id, wconn = std::weak_ptr<net::StreamConnection>(conn)] {
         if (crashed_) return;
         const auto it = sessions_.find(id);
@@ -255,16 +260,13 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
   }
 }
 
-void MqttBroker::on_session_packet(const std::string& client_id,
+void MqttBroker::on_session_packet(Session& session,
                                    const net::Datagram& datagram) {
-  if (crashed_) return;
-  const auto it = sessions_.find(client_id);
-  if (it == sessions_.end() || !it->second.connected) return;
+  if (crashed_ || !session.connected) return;
   if (!datagram.payload.has_value()) return;
   const auto* maybe = std::any_cast<PacketPtr>(&datagram.payload);
   if (maybe == nullptr || !*maybe) return;
   const PacketPtr& packet = *maybe;
-  Session& session = it->second;
   session.last_seen = host_.sim().now();
 
   switch (packet->type) {
@@ -333,8 +335,9 @@ void MqttBroker::on_session_packet(const std::string& client_id,
       reply(session, PacketType::kPingResp, 0);
       break;
     case PacketType::kDisconnect:
-      // Graceful: the will is discarded, per the specification.
-      drop_connection(client_id, /*graceful=*/true);
+      // Graceful: the will is discarded, per the specification. A clean
+      // session is erased here, so nothing below may touch it.
+      drop_connection(session.client_id, /*graceful=*/true);
       break;
     default:
       break;
@@ -412,12 +415,19 @@ void MqttBroker::deliver(Session& session, int granted_qos,
   const int qos = publish->qos < granted_qos ? publish->qos : granted_qos;
   if (qos == 0) {
     if (!session.connected) return;  // fire-and-forget: offline drops
+    ++stats_.publishes_delivered;
+    // Published packets are immutable, so a live QoS 0 fan-out shares the
+    // publisher's packet whenever the outbound header would equal it.
+    if (publish->qos == 0 && publish->retain == retained_replay &&
+        !publish->duplicate && publish->packet_id == 0) {
+      send_to(session, publish);
+      return;
+    }
     auto out = std::make_shared<Packet>(*publish);
     out->qos = 0;
     out->retain = retained_replay;
     out->duplicate = false;
     out->packet_id = 0;
-    ++stats_.publishes_delivered;
     send_to(session, std::move(out));
     return;
   }

@@ -144,8 +144,7 @@ class MqttBroker {
   void on_stream_accept(net::StreamConnectionPtr conn);
   void handle_connect(const net::StreamConnectionPtr& conn,
                       const PacketPtr& packet);
-  void on_session_packet(const std::string& client_id,
-                         const net::Datagram& datagram);
+  void on_session_packet(Session& session, const net::Datagram& datagram);
   void handle_publish(Session& session, const PacketPtr& packet);
   /// Route a publish to matching subscribers (after CPU service time).
   void ingest_publish(const PacketPtr& packet);
@@ -175,6 +174,13 @@ class MqttBroker {
 
   /// Sessions keyed by client id (ordered, so sweeps and fan-out walk the
   /// table deterministically). Map nodes are stable across other inserts.
+  ///
+  /// Invariant: a session is erased only after its connection is closed,
+  /// and a closed StreamConnection delivers nothing (in-flight packets are
+  /// dropped on arrival). Each connection's packet handler therefore holds
+  /// its Session* for the connection's life instead of looking the client
+  /// id up per packet; every path that clears `connected` (takeover,
+  /// drop_connection, crash) also closes the connection.
   std::map<std::string, Session> sessions_;
   /// Topic trie over every session's filters: one walk per publish instead
   /// of a filter scan per session. Kept in lockstep with the

@@ -6,6 +6,13 @@
 // blobs), plus model-level metadata (message_id, published_at) that the
 // metrics and obs layers key on — the moral equivalent of the JMS headers
 // the Narada model carries.
+//
+// A packet is immutable once sent (PacketPtr points to const). The broker
+// relies on it: a live QoS 0 fan-out forwards the publisher's packet itself
+// to every subscriber whose outbound header would equal it (qos 0, same
+// retain, no DUP, packet_id 0), and copies only for QoS 1/2 windows,
+// retained replays and downgrades. Anything that needs a changed header
+// (a DUP re-send, say) copies the packet and changes the copy.
 #pragma once
 
 #include <cstdint>

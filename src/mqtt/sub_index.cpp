@@ -153,8 +153,8 @@ void SubscriptionIndex::match(std::string_view topic,
 
   // Split the topic into levels once (same tokenization as topic.cpp:
   // "a//b" has an empty middle level, "a/" a trailing one).
-  std::vector<std::string_view> levels;
-  levels.reserve(8);
+  std::vector<std::string_view>& levels = levels_;
+  levels.clear();
   std::string_view rest = topic;
   for (;;) {
     const auto slash = rest.find('/');
@@ -176,12 +176,8 @@ void SubscriptionIndex::match(std::string_view topic,
     for (const Entry& e : list) out.push_back(Match{e.client, e.handle, e.qos});
   };
 
-  struct Frame {
-    const Node* node;
-    std::size_t idx;
-  };
-  std::vector<Frame> stack;
-  stack.reserve(levels.size() + 4);
+  std::vector<Frame>& stack = stack_;
+  stack.clear();
   stack.push_back(Frame{&root_, 0});
   while (!stack.empty()) {
     const Frame frame = stack.back();

@@ -59,7 +59,8 @@ class SubscriptionIndex {
 
   /// All sessions with at least one filter matching `topic`, one entry per
   /// session at its maximum granted QoS, ordered by client id. Reuses
-  /// `out`'s capacity.
+  /// `out`'s capacity, and the index's own walk scratch, so a publish
+  /// allocates nothing here once the buffers have grown.
   void match(std::string_view topic, std::vector<Match>& out) const;
 
   [[nodiscard]] std::size_t entry_count() const { return entry_count_; }
@@ -83,6 +84,12 @@ class SubscriptionIndex {
     std::vector<Entry> hash_loose;   ///< mid-filter '#' — remainder only
   };
 
+  /// A pending trie position: `node` with `idx` topic levels consumed.
+  struct Frame {
+    const Node* node;
+    std::size_t idx;
+  };
+
   /// Which terminal list a filter lands in, resolved by walking (and
   /// optionally creating) its level path. Null when absent and !create.
   std::vector<Entry>* terminal(std::string_view filter, bool create);
@@ -99,6 +106,12 @@ class SubscriptionIndex {
   util::StringTable intern_;
   std::size_t entry_count_ = 0;
   std::int64_t footprint_ = 0;
+  /// match()'s topic levels and walk stack, kept for their capacity (the
+  /// contents are dead between calls; match() calls out to nothing). So
+  /// one index must not be matched from two threads at once; a broker and
+  /// its index live on one campaign worker.
+  mutable std::vector<std::string_view> levels_;
+  mutable std::vector<Frame> stack_;
 };
 
 }  // namespace gridmon::mqtt

@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "cluster/costs.hpp"
+#include "core/message_id.hpp"
 #include "obs/memprof.hpp"
 
 namespace gridmon::narada {
@@ -237,11 +238,14 @@ void NaradaClient::receive_from_queue(const std::string& queue,
   send_frame(std::make_shared<const Frame>(std::move(frame)));
 }
 
+std::string NaradaClient::next_message_id() {
+  const auto seq = static_cast<std::int64_t>(next_message_seq_++);
+  return core::MessageId{local_.node, local_.port, seq}.to_string();
+}
+
 void NaradaClient::publish_to_queue(jms::Message message,
                                     SendCallback on_sent) {
-  message.message_id = "ID:" + std::to_string(local_.node) + "-" +
-                       std::to_string(local_.port) + "-" +
-                       std::to_string(next_message_seq_++);
+  message.message_id = next_message_id();
   message.timestamp = host_.sim().now();
   auto shared = jms::seal(std::move(message));
   const std::int64_t bytes = shared->wire_size();
@@ -303,9 +307,7 @@ void NaradaClient::flush_aggregation() {
 
 void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
   // JMS provider stamps headers on send.
-  message.message_id = "ID:" + std::to_string(local_.node) + "-" +
-                       std::to_string(local_.port) + "-" +
-                       std::to_string(next_message_seq_++);
+  message.message_id = next_message_id();
   message.timestamp = host_.sim().now();
   auto shared = jms::seal(std::move(message));
   const std::int64_t bytes = shared->wire_size();

@@ -126,6 +126,9 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
                net::Endpoint local, TransportKind transport);
 
   void send_frame(FramePtr frame);
+  /// The JMSMessageID the next send stamps: "ID:<node>-<port>-<n>", n
+  /// counting from 1 (core::MessageId's text form).
+  std::string next_message_id();
   void on_frame(const net::Datagram& datagram);
   void handle_deliver(const FramePtr& frame, SimTime arrived_at);
   /// Invoke and clear the ready handler. One-shot semantics: keeping the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/message_id.hpp"
+
 namespace gridmon::obs {
 
 TraceKey key_of(std::string_view id) {
@@ -11,6 +13,11 @@ TraceKey key_of(std::string_view id) {
     hash *= 1099511628211ULL;
   }
   return hash;
+}
+
+TraceKey key_of(const core::MessageId& id) {
+  char buf[core::MessageId::kMaxChars];
+  return key_of(id.format(buf));
 }
 
 TraceKey key_of(std::int64_t a, std::int64_t b) {

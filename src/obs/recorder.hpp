@@ -32,6 +32,10 @@
 #include "obs/timeline.hpp"
 #include "sim/simulation.hpp"
 
+namespace gridmon::core {
+struct MessageId;
+}  // namespace gridmon::core
+
 namespace gridmon::obs {
 
 #ifdef GRIDMON_OBS_DISABLED
@@ -47,6 +51,11 @@ using TraceKey = std::uint64_t;
 
 /// FNV-1a over the string (Narada "ID:node-port-seq" message ids).
 [[nodiscard]] TraceKey key_of(std::string_view id);
+
+/// The same FNV-1a over the id's text, written to a stack buffer instead
+/// of a string: key_of(id) == key_of(id.to_string()), so sampling decisions
+/// do not depend on which form a call site holds.
+[[nodiscard]] TraceKey key_of(const core::MessageId& id);
 
 /// Mixed pair key (R-GMA generator id + sequence).
 [[nodiscard]] TraceKey key_of(std::int64_t a, std::int64_t b);
@@ -175,21 +184,9 @@ inline void mark_message(const std::string& id, std::string_view stage) {
   if (Recorder* r = tracer()) r->mark(key_of(id), stage);
 }
 
-inline void mark_message_at(const std::string& id, std::string_view stage,
-                            SimTime at) {
-  if constexpr (!kEnabled) return;
-  if (Recorder* r = tracer()) r->mark_at(key_of(id), stage, at);
-}
-
 inline void mark_row(std::int64_t a, std::int64_t b, std::string_view stage) {
   if constexpr (!kEnabled) return;
   if (Recorder* r = tracer()) r->mark(key_of(a, b), stage);
-}
-
-inline void mark_row_at(std::int64_t a, std::int64_t b,
-                        std::string_view stage, SimTime at) {
-  if constexpr (!kEnabled) return;
-  if (Recorder* r = tracer()) r->mark_at(key_of(a, b), stage, at);
 }
 
 }  // namespace gridmon::obs

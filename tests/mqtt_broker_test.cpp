@@ -397,5 +397,220 @@ TEST_F(MqttFixture, OverlappingFiltersDeliverOnceAtBestGrant) {
   EXPECT_EQ(broker->stats().publishes_delivered, 1u);
 }
 
+/// The header fields a subscriber sees, for the copy-rule tests.
+struct Header {
+  int qos = -1;
+  bool retain = false;
+  bool duplicate = false;
+  std::uint16_t packet_id = 0;
+  const Packet* object = nullptr;  ///< identity: shared or copied
+
+  explicit Header(const Packet& packet)
+      : qos(packet.qos),
+        retain(packet.retain),
+        duplicate(packet.duplicate),
+        packet_id(packet.packet_id),
+        object(&packet) {}
+};
+
+TEST_F(MqttFixture, LiveQos0FanOutSharesThePublishedPacket) {
+  // A live QoS 0 delivery arrives as a plain header (retain 0, no DUP,
+  // packet id 0). When that equals the published header the broker
+  // forwards the publisher's immutable packet itself, so two subscribers
+  // see one object; a retained publish needs retain cleared for live
+  // subscribers, so each gets its own copy.
+  auto broker = start_broker();
+  auto sub_a = make_client(1, 9000, {.client_id = "sub-a"});
+  auto sub_b = make_client(3, 9002, {.client_id = "sub-b"});
+  auto pub = make_client(2, 9001, {.client_id = "pub"});
+
+  std::vector<Header> got_a;
+  std::vector<Header> got_b;
+  sub_a->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    sub_a->subscribe("powergrid/#", 0, [&](const PacketPtr& packet, SimTime) {
+      got_a.emplace_back(*packet);
+    });
+  });
+  sub_b->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    sub_b->subscribe("powergrid/#", 1, [&](const PacketPtr& packet, SimTime) {
+      got_b.emplace_back(*packet);
+    });
+  });
+  pub->connect([&](bool ok) { ASSERT_TRUE(ok); });
+  hydra.sim().schedule_at(units::seconds(2), [&pub] {
+    pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/0, /*retain=*/false,
+                 "plain");
+    pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/0, /*retain=*/true,
+                 "retained");
+  });
+  hydra.sim().run_until(units::seconds(10));
+
+  ASSERT_EQ(got_a.size(), 2u);
+  ASSERT_EQ(got_b.size(), 2u);
+  for (const auto* got : {&got_a, &got_b}) {
+    for (const Header& header : *got) {
+      EXPECT_EQ(header.qos, 0);
+      EXPECT_FALSE(header.retain);
+      EXPECT_FALSE(header.duplicate);
+      EXPECT_EQ(header.packet_id, 0);
+    }
+  }
+  EXPECT_EQ(got_a[0].object, got_b[0].object);  // shared as published
+  EXPECT_NE(got_a[1].object, got_b[1].object);  // retain cleared: copies
+  EXPECT_EQ(broker->stats().publishes_delivered, 4u);
+}
+
+TEST_F(MqttFixture, RetainedQos0ReplayArrivesRetained) {
+  auto broker = start_broker();
+  auto pub = make_client(2, 9001, {.client_id = "pub"});
+  pub->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    pub->publish("powergrid/feeder1/gen0", 64, /*qos=*/0, /*retain=*/true,
+                 "state");
+  });
+  hydra.sim().run_until(units::seconds(5));
+
+  auto late = make_client(1, 9000, {.client_id = "late"});
+  std::vector<Header> got;
+  late->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    late->subscribe("powergrid/#", 0, [&](const PacketPtr& packet, SimTime) {
+      got.emplace_back(*packet);
+    });
+  });
+  hydra.sim().run_until(units::seconds(10));
+
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].qos, 0);
+  EXPECT_TRUE(got[0].retain);
+  EXPECT_FALSE(got[0].duplicate);
+  EXPECT_EQ(got[0].packet_id, 0);
+  EXPECT_EQ(broker->stats().retained_replayed, 1u);
+}
+
+TEST_F(MqttFixture, Qos2PublishToQos0SubscriberIsDowngraded) {
+  // The publisher's packet carries qos 2 and a packet id; a QoS 0 grant
+  // gets a copy downgraded to qos 0 with no packet id, exactly once.
+  auto broker = start_broker();
+  auto sub = make_client(1, 9000, {.client_id = "sub"});
+  auto pub = make_client(2, 9001, {.client_id = "pub"});
+
+  std::vector<Header> got;
+  sub->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    sub->subscribe("powergrid/#", 0, [&](const PacketPtr& packet, SimTime) {
+      got.emplace_back(*packet);
+    });
+  });
+  pub->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    hydra.sim().schedule_at(units::seconds(2), [&pub] {
+      pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/2,
+                   /*retain=*/false, "m0");
+    });
+  });
+  hydra.sim().run_until(units::seconds(10));
+
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].qos, 0);
+  EXPECT_EQ(got[0].packet_id, 0);
+  EXPECT_FALSE(got[0].retain);
+  EXPECT_FALSE(got[0].duplicate);
+}
+
+TEST_F(MqttFixture, TakeoverRoutesPacketsToTheNewSessionOnly) {
+  // A second CONNECT under a live client id supersedes the first
+  // connection and, being clean, erases the old session. The broker
+  // resolves a connection's session once, at CONNECT, so whatever the old
+  // connection still has in flight must die with it: it may neither touch
+  // the erased session (a use-after-free under the mqtt_asan entry) nor
+  // land on the new one.
+  auto broker = start_broker();
+  auto old_client = make_client(1, 9000, {.client_id = "gen"});
+  auto new_client = make_client(3, 9002, {.client_id = "gen"});
+  auto pub = make_client(2, 9001, {.client_id = "pub"});
+
+  std::vector<std::string> old_got;
+  std::vector<std::string> new_got;
+  const auto record = [](std::vector<std::string>& into) {
+    return [&into](const PacketPtr& packet, SimTime) {
+      into.push_back(packet->topic);
+    };
+  };
+  old_client->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    old_client->subscribe("old/#", 0, record(old_got));
+  });
+  pub->connect([&](bool ok) { ASSERT_TRUE(ok); });
+  // From 2 s the old connection subscribes every 20 us for 20 ms, so some
+  // of its packets are on the wire when the takeover lands at ~2.005 s.
+  for (int i = 0; i < 1000; ++i) {
+    hydra.sim().schedule_at(
+        units::seconds(2) + units::microseconds(20) * i, [&, i] {
+          old_client->subscribe("stale/" + std::to_string(i) + "/#", 0,
+                                record(old_got));
+        });
+  }
+  hydra.sim().schedule_at(units::milliseconds(2005), [&] {
+    new_client->connect([&](bool ok) {
+      ASSERT_TRUE(ok);
+      new_client->subscribe("new/#", 0, record(new_got));
+    });
+  });
+  hydra.sim().schedule_at(units::seconds(3), [&pub] {
+    for (const char* topic :
+         {"old/x", "stale/500/x", "stale/999/x", "new/x"}) {
+      pub->publish(topic, 64, /*qos=*/0, /*retain=*/false, topic);
+    }
+  });
+  hydra.sim().run_until(units::seconds(10));
+
+  EXPECT_EQ(broker->session_count(), 2);       // gen (new) and pub
+  EXPECT_EQ(broker->subscription_count(), 1);  // new/# alone
+  EXPECT_TRUE(old_got.empty());
+  EXPECT_EQ(new_got, std::vector<std::string>{"new/x"});
+}
+
+TEST_F(MqttFixture, CleanReconnectStartsAFreshSession) {
+  // DISCONNECT erases a clean session from inside its own packet handler;
+  // the next CONNECT under that id gets a new session, and its packets are
+  // processed against that session alone.
+  auto broker = start_broker();
+  auto first = make_client(1, 9000, {.client_id = "gen"});
+  auto second = make_client(1, 9003, {.client_id = "gen"});
+  auto pub = make_client(2, 9001, {.client_id = "pub"});
+
+  std::vector<std::string> first_got;
+  std::vector<std::string> second_got;
+  first->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    first->subscribe("a/#", 0, [&](const PacketPtr& packet, SimTime) {
+      first_got.push_back(packet->topic);
+    });
+  });
+  pub->connect([&](bool ok) { ASSERT_TRUE(ok); });
+  hydra.sim().schedule_at(units::seconds(2), [&] { first->disconnect(); });
+  hydra.sim().schedule_at(units::seconds(3), [&] {
+    second->connect([&](bool ok) {
+      ASSERT_TRUE(ok);
+      second->subscribe("b/#", 0, [&](const PacketPtr& packet, SimTime) {
+        second_got.push_back(packet->topic);
+      });
+    });
+  });
+  hydra.sim().schedule_at(units::seconds(4), [&pub] {
+    pub->publish("a/x", 64, /*qos=*/0, /*retain=*/false, "a");
+    pub->publish("b/x", 64, /*qos=*/0, /*retain=*/false, "b");
+  });
+  hydra.sim().run_until(units::seconds(10));
+
+  EXPECT_EQ(broker->session_count(), 2);
+  EXPECT_EQ(broker->subscription_count(), 1);
+  EXPECT_TRUE(first_got.empty());
+  EXPECT_EQ(second_got, std::vector<std::string>{"b/x"});
+}
+
 }  // namespace
 }  // namespace gridmon::mqtt
