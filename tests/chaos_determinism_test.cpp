@@ -13,18 +13,12 @@
 
 #include "core/campaign.hpp"
 #include "core/registry.hpp"
+#include "golden_hash.hpp"
 
 namespace gridmon::core {
 namespace {
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+using golden::fnv1a;
 
 std::string campaign_csv(const char* prefix, int jobs) {
   CampaignOptions options;

@@ -16,6 +16,7 @@
 
 #include "core/campaign.hpp"
 #include "core/registry.hpp"
+#include "golden_hash.hpp"
 
 namespace gridmon::core {
 namespace {
@@ -44,14 +45,7 @@ std::string canonical_row(const RunRecord& run) {
   return buffer;
 }
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+using golden::fnv1a;
 
 std::uint64_t campaign_hash(const char* scenario_id, int jobs) {
   CampaignOptions options;

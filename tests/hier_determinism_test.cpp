@@ -12,18 +12,12 @@
 
 #include "core/campaign.hpp"
 #include "core/registry.hpp"
+#include "golden_hash.hpp"
 
 namespace gridmon::core {
 namespace {
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+using golden::fnv1a;
 
 /// The 10k sweep over all three backends plus the architecture ablation.
 /// The larger scales (50k/200k/1m) stay out of tier-1 — bench_hier_scale

@@ -19,6 +19,7 @@
 #include "core/campaign.hpp"
 #include "core/registry.hpp"
 #include "obs/export.hpp"
+#include "golden_hash.hpp"
 
 namespace gridmon::core {
 namespace {
@@ -29,14 +30,7 @@ struct RunExports {
   std::string trace_json;
 };
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+using golden::fnv1a;
 
 std::vector<RunExports> campaign_exports(const char* prefix, int jobs) {
   CampaignOptions options;

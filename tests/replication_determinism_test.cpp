@@ -17,18 +17,12 @@
 #include "core/experiment.hpp"
 #include "core/registry.hpp"
 #include "core/scenarios.hpp"
+#include "golden_hash.hpp"
 
 namespace gridmon::core {
 namespace {
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+using golden::fnv1a;
 
 /// The whole replication family: one replay twin per backend, the two DBN
 /// fail-over/partition twins, the NIC-flap twin, and the half-open
