@@ -16,6 +16,14 @@ SimTime Harness::steady_begin(const FleetConfig& fleet) {
          fleet.warmup_max;
 }
 
+net::ReconnectPolicy reconnect_policy(const FleetConfig& fleet) {
+  net::ReconnectPolicy policy;
+  policy.backoff_initial = fleet.backoff_initial;
+  policy.backoff_max = fleet.backoff_max;
+  policy.jitter = fleet.backoff_jitter;
+  return policy;
+}
+
 SimTime Harness::uniform_time(util::Rng& rng, SimTime lo, SimTime hi) {
   return static_cast<SimTime>(
       rng.uniform(static_cast<double>(lo), static_cast<double>(hi)));

@@ -35,6 +35,7 @@
 #include "core/experiment.hpp"
 #include "core/message_id.hpp"
 #include "core/payloads.hpp"
+#include "net/client_link.hpp"
 #include "util/rng.hpp"
 
 namespace gridmon::core {
@@ -163,6 +164,10 @@ class PublishLoop {
   std::int64_t remaining_ = 0;
   std::function<void()> publish_;
 };
+
+/// The client reconnect policy the fleet's backoff_* knobs describe (callers
+/// install it only when `fleet.recovery` is on).
+[[nodiscard]] net::ReconnectPolicy reconnect_policy(const FleetConfig& fleet);
 
 /// The id a client at `local` stamps on its publish number `seq`.
 [[nodiscard]] inline MessageId message_id(net::Endpoint local,

@@ -24,15 +24,6 @@ constexpr std::uint16_t kBrokerPort = 1883;
   return config.mixed_qos ? static_cast<int>(id % 3) : config.qos;
 }
 
-[[nodiscard]] mqtt::ReconnectPolicy reconnect_policy(const FleetConfig& fleet) {
-  mqtt::ReconnectPolicy policy;
-  policy.enabled = fleet.recovery;
-  policy.backoff_initial = fleet.backoff_initial;
-  policy.backoff_max = fleet.backoff_max;
-  policy.jitter = fleet.backoff_jitter;
-  return policy;
-}
-
 /// One simulated generator (or edge gateway when gateway_batch > 1): owns
 /// an MQTT client and publishes readings on its period. Same life cycle as
 /// the Narada generator: created on a stagger, sleeps uniform(10–20 s),

@@ -11,16 +11,6 @@ namespace {
 constexpr SimTime kDrainTime = units::seconds(60);
 constexpr const char* kTopic = "powergrid/monitoring";
 
-[[nodiscard]] narada::ReconnectPolicy reconnect_policy(
-    const FleetConfig& fleet) {
-  narada::ReconnectPolicy policy;
-  policy.enabled = fleet.recovery;
-  policy.backoff_initial = fleet.backoff_initial;
-  policy.backoff_max = fleet.backoff_max;
-  policy.jitter = fleet.backoff_jitter;
-  return policy;
-}
-
 /// One simulated power generator: owns a client connection and publishes
 /// readings on its period. Mirrors §III.E: created on a stagger, sleeps a
 /// random 10–20 s so publications spread evenly, then publishes every 10 s.
@@ -161,7 +151,7 @@ Results run_narada_experiment(const NaradaConfig& config) {
       }
     };
   };
-  narada::ReconnectPolicy subscriber_policy = reconnect_policy(config.fleet);
+  net::ReconnectPolicy subscriber_policy = reconnect_policy(config.fleet);
   if (config.replay.enabled && multi_broker) {
     // Fail-over targets: every other broker in the network. Replication
     // means any of them can serve the subscriber's stream and its backfill.

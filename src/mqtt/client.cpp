@@ -1,6 +1,5 @@
 #include "mqtt/client.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "cluster/costs.hpp"
@@ -25,9 +24,7 @@ MqttClient::MqttClient(cluster::Host& host, net::Lan& lan,
                        net::Endpoint local, MqttClientOptions options)
     : host_(host),
       lan_(lan),
-      streams_(streams),
-      broker_(broker),
-      local_(local),
+      link_(streams, broker, local),
       options_(std::move(options)) {
   obs::mem_add(obs::MemCategory::kClientRecords, sizeof(MqttClient));
 }
@@ -36,40 +33,16 @@ MqttClient::~MqttClient() {
   obs::mem_sub(obs::MemCategory::kClientRecords, sizeof(MqttClient));
 }
 
-void MqttClient::notify_ready(bool ok) {
-  // One-shot semantics: holding the handler would keep whatever the caller
-  // captured (typically its own shared_ptr) alive for the client's whole
-  // lifetime — the reference cycle the Narada client leaked under ASan.
-  auto callback = std::move(on_ready_);
-  on_ready_ = nullptr;
-  if (callback) callback(ok);
-}
-
-void MqttClient::set_reconnect_policy(ReconnectPolicy policy) {
-  reconnect_ = policy;
-  reconnect_rng_ = host_.sim()
-                       .rng_stream("mqtt.reconnect")
-                       .stream((static_cast<std::uint64_t>(local_.node) << 16) |
-                               local_.port);
+void MqttClient::set_reconnect_policy(net::ReconnectPolicy policy) {
+  link_.set_policy(std::move(policy), "mqtt.reconnect");
 }
 
 void MqttClient::connect(ReadyHandler on_ready) {
-  on_ready_ = std::move(on_ready);
-  streams_.connect(local_, broker_, [self = weak_from_this()](
-                                        net::StreamConnectionPtr conn) {
-    auto client = self.lock();
-    if (!client) return;
-    if (!conn) {
-      client->refused_ = true;
-      client->notify_ready(false);
-      return;
-    }
-    client->adopt_connection(std::move(conn));
-  });
+  // The broker's CONNACK completes the handshake (on_connack).
+  link_.connect(weak_from_this(), std::move(on_ready));
 }
 
-void MqttClient::adopt_connection(net::StreamConnectionPtr conn) {
-  conn_ = conn;
+void MqttClient::adopt_connection(const net::StreamConnectionPtr& conn) {
   auto self = weak_from_this();
   conn->set_handler(
       0,
@@ -79,29 +52,7 @@ void MqttClient::adopt_connection(net::StreamConnectionPtr conn) {
       [self] {
         auto c = self.lock();
         if (!c) return;
-        if (c->disconnected_) {
-          // We asked for this close (graceful DISCONNECT).
-          c->conn_.reset();
-          return;
-        }
-        if (!c->ready_) {
-          if (c->reconnecting_) {
-            // A reconnect attempt died before its CONNACK (broker still
-            // down, or down again): back off and retry.
-            c->schedule_reconnect();
-            return;
-          }
-          // Closed before CONNACK: the broker refused us (admission).
-          c->refused_ = true;
-          c->notify_ready(false);
-          return;
-        }
-        // Established link lost (broker crash, NIC failure). Without a
-        // reconnect policy this is permanent — the no-recovery baseline.
-        c->ready_ = false;
-        c->conn_.reset();
-        c->keep_alive_timer_ = sim::PeriodicTimer();
-        if (c->reconnect_.enabled) c->schedule_reconnect();
+        c->link_.closed([&c] { c->keep_alive_timer_ = sim::PeriodicTimer(); });
       });
   send_connect();
 }
@@ -117,59 +68,18 @@ void MqttClient::send_connect() {
   connect->will_qos = options_.will_qos;
   connect->will_retain = options_.will_retain;
   host_.cpu().charge(costs::kMqttClientSendBase);
-  if (conn_ && conn_->open()) {
+  if (const auto& conn = link_.conn(); conn && conn->open()) {
     const std::int64_t bytes = packet_wire_size(*connect);
-    conn_->send(0, bytes, PacketPtr(std::move(connect)));
+    conn->send(0, bytes, PacketPtr(std::move(connect)));
   }
-}
-
-void MqttClient::schedule_reconnect() {
-  if (reconnect_.max_attempts > 0 &&
-      reconnect_attempt_ >= reconnect_.max_attempts) {
-    reconnecting_ = false;
-    return;
-  }
-  reconnecting_ = true;
-  ++reconnect_attempt_;
-  ++reconnects_;
-  double delay = static_cast<double>(reconnect_.backoff_initial);
-  for (int i = 1; i < reconnect_attempt_; ++i) {
-    delay *= reconnect_.multiplier;
-    if (delay >= static_cast<double>(reconnect_.backoff_max)) break;
-  }
-  delay = std::min(delay, static_cast<double>(reconnect_.backoff_max));
-  if (reconnect_.jitter > 0.0) {
-    delay *= 1.0 + reconnect_rng_.uniform(0.0, reconnect_.jitter);
-  }
-  host_.sim().schedule_after(
-      static_cast<SimTime>(delay), [self = weak_from_this()] {
-        if (auto c = self.lock()) c->attempt_reconnect();
-      });
-}
-
-void MqttClient::attempt_reconnect() {
-  streams_.connect(local_, broker_, [self = weak_from_this()](
-                                        net::StreamConnectionPtr conn) {
-    auto c = self.lock();
-    if (!c) return;
-    if (!conn) {
-      // Listener still closed: the broker has not restarted yet.
-      c->schedule_reconnect();
-      return;
-    }
-    c->adopt_connection(std::move(conn));
-  });
 }
 
 void MqttClient::on_connack(const PacketPtr& packet) {
-  if (ready_) return;
-  ready_ = true;
-  const bool was_reconnect = reconnecting_;
-  reconnecting_ = false;
-  reconnect_attempt_ = 0;
+  if (link_.ready()) return;
+  // Arm the keep-alive before the ready handler runs, so same-time events
+  // keep their order.
   start_keep_alive();
-  notify_ready(true);
-  if (was_reconnect) {
+  if (link_.established()) {
     // Session resumption: if the broker came back empty (or we run clean
     // sessions), broker-side state must be rebuilt before anything else.
     if (!packet->session_present && has_subscription_) resubscribe();
@@ -188,7 +98,7 @@ void MqttClient::start_keep_alive() {
       host_.sim(), host_.sim().now() + options_.keep_alive,
       options_.keep_alive, [self = weak_from_this()] {
         auto c = self.lock();
-        if (!c || !c->ready_) return;
+        if (!c || !c->ready()) return;
         auto ping = std::make_shared<Packet>();
         ping->type = PacketType::kPingReq;
         c->send_packet(PacketPtr(std::move(ping)));
@@ -232,7 +142,7 @@ void MqttClient::redeliver_in_flight() {
 }
 
 void MqttClient::send_packet(PacketPtr packet) {
-  if (!ready_ && packet->type != PacketType::kConnect) {
+  if (!link_.ready() && packet->type != PacketType::kConnect) {
     // A disconnected QoS 1/2 publish is owned by the in-flight window and
     // redelivered at resumption — backlogging it too would double-send.
     // Acknowledgement traffic for broker state that no longer exists is
@@ -244,8 +154,8 @@ void MqttClient::send_packet(PacketPtr packet) {
     if (queueable && !windowed) backlog_.push_back(std::move(packet));
     return;
   }
-  if (conn_ && conn_->open()) {
-    conn_->send(0, packet_wire_size(*packet), packet);
+  if (const auto& conn = link_.conn(); conn && conn->open()) {
+    conn->send(0, packet_wire_size(*packet), packet);
   }
 }
 
@@ -306,7 +216,7 @@ void MqttClient::arm_retransmit(std::uint16_t packet_id) {
         if (!c) return;
         const auto it = c->in_flight_.find(packet_id);
         if (it == c->in_flight_.end()) return;
-        if (!c->ready_) {
+        if (!c->ready()) {
           // Link is down: the check dies here; redeliver_in_flight()
           // restarts it at session resumption.
           it->second.timer_armed = false;
@@ -330,15 +240,14 @@ void MqttClient::arm_retransmit(std::uint16_t packet_id) {
 }
 
 void MqttClient::disconnect() {
-  if (!ready_) return;
+  if (!link_.ready()) return;
   auto bye = std::make_shared<Packet>();
   bye->type = PacketType::kDisconnect;
   send_packet(PacketPtr(std::move(bye)));
   // The broker closes the link once it processes the DISCONNECT (closing
   // here would drop the in-flight packet — stream delivery checks the
   // connection is still open on arrival).
-  disconnected_ = true;
-  ready_ = false;
+  link_.hang_up();
   keep_alive_timer_ = sim::PeriodicTimer();
 }
 

@@ -11,13 +11,14 @@
 //  - inbound QoS 2 deliveries are deduplicated by packet id, so the
 //    application listener sees each exactly once.
 //
-// Recovery mirrors the Narada client: an optional reconnect policy with
-// capped exponential backoff and deterministic jitter. After a reconnect
-// the client resumes its session — if the broker kept it (CONNACK
-// session_present) only the in-flight QoS 1/2 window is redelivered; if
-// the broker came back empty, the client resubscribes first, then
-// redelivers, then flushes whatever the application published during the
-// outage.
+// Connect, refusal, loss and reconnect live in the shared net::ClientLink
+// (capped exponential backoff, deterministic jitter). The client keeps
+// what is MQTT's own: CONNECT/CONNACK, the keep-alive timer, the graceful
+// DISCONNECT, and session resumption. After a reconnect the client resumes
+// its session — if the broker kept it (CONNACK session_present) only the
+// in-flight QoS 1/2 window is redelivered; if the broker came back empty,
+// the client resubscribes first, then redelivers, then flushes whatever the
+// application published during the outage.
 #pragma once
 
 #include <cstdint>
@@ -30,24 +31,10 @@
 
 #include "cluster/host.hpp"
 #include "mqtt/packets.hpp"
+#include "net/client_link.hpp"
 #include "net/lan.hpp"
-#include "net/stream.hpp"
-#include "util/rng.hpp"
 
 namespace gridmon::mqtt {
-
-/// Client-side recovery knob (same shape as the Narada policy): when an
-/// established broker link drops, retry with capped exponential backoff.
-/// Jitter is deterministic — drawn from a named kernel RNG stream keyed by
-/// the client's endpoint.
-struct ReconnectPolicy {
-  bool enabled = false;
-  SimTime backoff_initial = units::milliseconds(500);
-  SimTime backoff_max = units::seconds(8);
-  double multiplier = 2.0;
-  double jitter = 0.2;
-  int max_attempts = 0;  ///< 0 = keep trying until the run ends
-};
 
 struct MqttClientOptions {
   std::string client_id;  ///< deterministic, e.g. "gen-0042"
@@ -62,10 +49,11 @@ struct MqttClientOptions {
   SimTime retransmit_timeout = units::seconds(2);
 };
 
-class MqttClient : public std::enable_shared_from_this<MqttClient> {
+class MqttClient : public std::enable_shared_from_this<MqttClient>,
+                   public net::ClientLink::Owner {
  public:
   /// ok=false means the broker refused the connection.
-  using ReadyHandler = std::function<void(bool ok)>;
+  using ReadyHandler = net::ClientLink::ReadyHandler;
   /// `arrived_at` is when the packet reached this host; the callback runs
   /// after the client library's receive-path CPU.
   using DeliveryListener =
@@ -100,10 +88,10 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
 
   /// Install the recovery policy (call before or after connect). Without
   /// one a lost link is permanent — the no-recovery baseline.
-  void set_reconnect_policy(ReconnectPolicy policy);
+  void set_reconnect_policy(net::ReconnectPolicy policy);
 
-  [[nodiscard]] bool ready() const { return ready_; }
-  [[nodiscard]] bool refused() const { return refused_; }
+  [[nodiscard]] bool ready() const { return link_.ready(); }
+  [[nodiscard]] bool refused() const { return link_.refused(); }
   [[nodiscard]] std::uint64_t published() const { return published_; }
   [[nodiscard]] std::uint64_t received() const { return received_; }
   [[nodiscard]] std::uint64_t duplicates_received() const {
@@ -112,9 +100,9 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
   [[nodiscard]] std::uint64_t retransmissions() const {
     return retransmissions_;
   }
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
+  [[nodiscard]] std::uint64_t reconnects() const { return link_.reconnects(); }
   [[nodiscard]] std::uint64_t resubscribes() const { return resubscribes_; }
-  [[nodiscard]] net::Endpoint local() const { return local_; }
+  [[nodiscard]] net::Endpoint local() const { return link_.local(); }
 
  private:
   struct InFlightPub {
@@ -128,15 +116,12 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
              net::StreamTransport& streams, net::Endpoint broker,
              net::Endpoint local, MqttClientOptions options);
 
-  void adopt_connection(net::StreamConnectionPtr conn);
+  void adopt_connection(const net::StreamConnectionPtr& conn) override;
   void send_connect();
   void send_packet(PacketPtr packet);
   void on_packet(const net::Datagram& datagram);
   void handle_publish(const PacketPtr& packet, SimTime arrived_at);
   void on_connack(const PacketPtr& packet);
-  void notify_ready(bool ok);
-  void schedule_reconnect();
-  void attempt_reconnect();
   void resubscribe();
   /// Redeliver the unacknowledged QoS 1/2 window (DUP) after resumption.
   void redeliver_in_flight();
@@ -145,16 +130,9 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
 
   cluster::Host& host_;
   net::Lan& lan_;
-  net::StreamTransport& streams_;
-  net::Endpoint broker_;
-  net::Endpoint local_;
+  net::ClientLink link_;
   MqttClientOptions options_;
 
-  net::StreamConnectionPtr conn_;
-  bool ready_ = false;
-  bool refused_ = false;
-  bool disconnected_ = false;  ///< graceful DISCONNECT requested
-  ReadyHandler on_ready_;
   std::deque<PacketPtr> backlog_;
 
   std::string subscribed_filter_;
@@ -170,12 +148,6 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
 
   sim::PeriodicTimer keep_alive_timer_;
 
-  // Recovery state.
-  ReconnectPolicy reconnect_;
-  util::Rng reconnect_rng_;
-  int reconnect_attempt_ = 0;
-  bool reconnecting_ = false;
-  std::uint64_t reconnects_ = 0;
   std::uint64_t resubscribes_ = 0;
 
   std::uint64_t published_ = 0;

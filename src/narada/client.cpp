@@ -1,6 +1,5 @@
 #include "narada/client.hpp"
 
-
 #include <algorithm>
 
 #include "cluster/costs.hpp"
@@ -23,9 +22,7 @@ NaradaClient::NaradaClient(cluster::Host& host, net::Lan& lan,
                            net::Endpoint local, TransportKind transport)
     : host_(host),
       lan_(lan),
-      streams_(streams),
-      broker_(broker),
-      local_(local),
+      link_(streams, broker, local),
       transport_(transport) {
   // Model-memory accounting: one per-client record (the ROADMAP's
   // million-generator wall is exactly this state times a million).
@@ -33,24 +30,12 @@ NaradaClient::NaradaClient(cluster::Host& host, net::Lan& lan,
 }
 
 NaradaClient::~NaradaClient() {
-  if (udp_bound_) lan_.unbind(local_);
+  if (udp_bound_) lan_.unbind(link_.local());
   obs::mem_sub(obs::MemCategory::kClientRecords, sizeof(NaradaClient));
 }
 
-void NaradaClient::notify_ready(bool ok) {
-  auto callback = std::move(on_ready_);
-  on_ready_ = nullptr;
-  if (callback) callback(ok);
-}
-
-void NaradaClient::set_reconnect_policy(ReconnectPolicy policy) {
-  reconnect_ = policy;
-  // Deterministic jitter: a named kernel stream keyed by the client's
-  // endpoint, independent of event-arrival order.
-  reconnect_rng_ = host_.sim()
-                       .rng_stream("narada.reconnect")
-                       .stream((static_cast<std::uint64_t>(local_.node) << 16) |
-                               local_.port);
+void NaradaClient::set_reconnect_policy(net::ReconnectPolicy policy) {
+  link_.set_policy(std::move(policy), "narada.reconnect");
 }
 
 void NaradaClient::set_replay(SimTime settle, int max_retries) {
@@ -60,39 +45,23 @@ void NaradaClient::set_replay(SimTime settle, int max_retries) {
 }
 
 void NaradaClient::connect(ReadyHandler on_ready) {
-  on_ready_ = std::move(on_ready);
-  if (transport_ == TransportKind::kUdp) {
-    // Connectionless: bind the local port for deliveries/acks and become
-    // ready immediately; registration happens per subscription.
-    lan_.bind(local_, [self = weak_from_this()](const net::Datagram& dg) {
-      if (auto client = self.lock()) client->on_frame(dg);
-    });
-    udp_bound_ = true;
-    ready_ = true;
-    notify_ready(true);
-    while (!backlog_.empty()) {
-      FramePtr frame = backlog_.front();
-      backlog_.pop_front();
-      send_frame(std::move(frame));
-    }
+  if (transport_ != TransportKind::kUdp) {
+    // The broker's welcome frame completes the handshake (on_frame).
+    link_.connect(weak_from_this(), std::move(on_ready));
     return;
   }
-
-  streams_.connect(local_, broker_, [self = weak_from_this()](
-                                        net::StreamConnectionPtr conn) {
-    auto client = self.lock();
-    if (!client) return;
-    if (!conn) {
-      client->refused_ = true;
-      client->notify_ready(false);
-      return;
-    }
-    client->adopt_connection(std::move(conn));
+  // Connectionless: bind the local port for deliveries/acks and become
+  // ready immediately; registration happens per subscription.
+  lan_.bind(link_.local(), [self = weak_from_this()](const net::Datagram& dg) {
+    if (auto client = self.lock()) client->on_frame(dg);
   });
+  udp_bound_ = true;
+  link_.established();
+  if (on_ready) on_ready(true);
+  flush_backlog();
 }
 
-void NaradaClient::adopt_connection(net::StreamConnectionPtr conn) {
-  conn_ = conn;
+void NaradaClient::adopt_connection(const net::StreamConnectionPtr& conn) {
   auto self = weak_from_this();
   conn->set_handler(
       0,
@@ -102,77 +71,13 @@ void NaradaClient::adopt_connection(net::StreamConnectionPtr conn) {
       [self] {
         auto c = self.lock();
         if (!c) return;
-        if (!c->ready_) {
-          if (c->reconnecting_) {
-            // A reconnect attempt died before its welcome frame (broker
-            // still down, or down again): back off and retry.
-            c->schedule_reconnect();
-            return;
-          }
-          // Closed before the welcome frame: the broker refused us
-          // (out of memory creating the connection thread).
-          c->refused_ = true;
-          c->notify_ready(false);
-          return;
-        }
-        // Established link lost (broker crash, NIC failure). Without a
-        // reconnect policy this is permanent — the no-recovery baseline.
-        c->ready_ = false;
-        c->conn_.reset();
-        // Any in-flight backfill died with the link; the post-welcome
-        // resubscribe path starts a fresh round.
-        c->backfill_pending_ = false;
-        c->backfill_round_ = 0;
-        if (c->reconnect_.enabled) c->schedule_reconnect();
+        c->link_.closed([&c] {
+          // Any in-flight backfill died with the link; the post-welcome
+          // resubscribe path starts a fresh round.
+          c->backfill_pending_ = false;
+          c->backfill_round_ = 0;
+        });
       });
-}
-
-void NaradaClient::schedule_reconnect() {
-  if (reconnect_.max_attempts > 0 &&
-      reconnect_attempt_ >= reconnect_.max_attempts) {
-    reconnecting_ = false;
-    return;
-  }
-  reconnecting_ = true;
-  ++reconnect_attempt_;
-  ++reconnects_;
-  if (!reconnect_.fallbacks.empty() && reconnect_.rehome_after > 0 &&
-      reconnect_attempt_ % reconnect_.rehome_after == 0) {
-    // Persistent failures: fail over to the next surviving broker in the
-    // network instead of waiting out the crashed one.
-    broker_ =
-        reconnect_.fallbacks[fallback_index_ % reconnect_.fallbacks.size()];
-    ++fallback_index_;
-    ++rehomes_;
-  }
-  double delay = static_cast<double>(reconnect_.backoff_initial);
-  for (int i = 1; i < reconnect_attempt_; ++i) {
-    delay *= reconnect_.multiplier;
-    if (delay >= static_cast<double>(reconnect_.backoff_max)) break;
-  }
-  delay = std::min(delay, static_cast<double>(reconnect_.backoff_max));
-  if (reconnect_.jitter > 0.0) {
-    delay *= 1.0 + reconnect_rng_.uniform(0.0, reconnect_.jitter);
-  }
-  host_.sim().schedule_after(
-      static_cast<SimTime>(delay),
-      [self = weak_from_this()] {
-        if (auto c = self.lock()) c->attempt_reconnect();
-      });
-}
-
-void NaradaClient::attempt_reconnect() {
-  streams_.connect(local_, broker_, [self = weak_from_this()](
-                                        net::StreamConnectionPtr conn) {
-    auto c = self.lock();
-    if (!c) return;
-    if (!conn) {
-      // Listener still closed: the broker has not restarted yet.
-      c->schedule_reconnect();
-      return;
-    }
-    c->adopt_connection(std::move(conn));
-  });
 }
 
 void NaradaClient::resubscribe() {
@@ -183,20 +88,28 @@ void NaradaClient::resubscribe() {
   frame.is_queue = subscribed_is_queue_;
   frame.selector = subscribed_selector_;
   frame.ack_mode = ack_mode_;
-  frame.reply_to = local_;
+  frame.reply_to = link_.local();
   send_frame(std::make_shared<const Frame>(std::move(frame)));
 }
 
 void NaradaClient::send_frame(FramePtr frame) {
-  if (!ready_) {
+  if (!link_.ready()) {
     backlog_.push_back(std::move(frame));
     return;
   }
   const std::int64_t wire = frame_wire_size(*frame);
   if (transport_ == TransportKind::kUdp) {
-    lan_.send_datagram(local_, broker_, wire, frame);
-  } else if (conn_ && conn_->open()) {
-    conn_->send(0, wire, frame);
+    lan_.send_datagram(link_.local(), link_.broker(), wire, frame);
+  } else if (const auto& conn = link_.conn(); conn && conn->open()) {
+    conn->send(0, wire, frame);
+  }
+}
+
+void NaradaClient::flush_backlog() {
+  while (!backlog_.empty()) {
+    FramePtr frame = backlog_.front();
+    backlog_.pop_front();
+    send_frame(std::move(frame));
   }
 }
 
@@ -213,7 +126,7 @@ void NaradaClient::subscribe(const std::string& topic,
 
   auto frame = std::make_shared<const Frame>(Frame{
       FrameKind::kSubscribe, topic, selector, ack_mode, 0, nullptr, -1, -1,
-      local_});
+      link_.local()});
   send_frame(std::move(frame));
 }
 
@@ -234,13 +147,14 @@ void NaradaClient::receive_from_queue(const std::string& queue,
   frame.is_queue = true;
   frame.selector = selector;
   frame.ack_mode = ack_mode;
-  frame.reply_to = local_;
+  frame.reply_to = link_.local();
   send_frame(std::make_shared<const Frame>(std::move(frame)));
 }
 
 std::string NaradaClient::next_message_id() {
   const auto seq = static_cast<std::int64_t>(next_message_seq_++);
-  return core::MessageId{local_.node, local_.port, seq}.to_string();
+  const net::Endpoint local = link_.local();
+  return core::MessageId{local.node, local.port, seq}.to_string();
 }
 
 void NaradaClient::publish_to_queue(jms::Message message,
@@ -261,7 +175,7 @@ void NaradaClient::publish_to_queue(jms::Message message,
     frame.is_queue = true;
     frame.ack_mode = self->ack_mode_;
     frame.message = shared;
-    frame.reply_to = self->local_;
+    frame.reply_to = self->link_.local();
     self->send_frame(std::make_shared<const Frame>(std::move(frame)));
     ++self->published_;
     if (on_sent) on_sent(self->host_.sim().now());
@@ -293,7 +207,7 @@ void NaradaClient::flush_aggregation() {
     frame.kind = FrameKind::kPublish;
     frame.topic = batch.front().first->destination;
     frame.ack_mode = self->ack_mode_;
-    frame.reply_to = self->local_;
+    frame.reply_to = self->link_.local();
     frame.batch.reserve(batch.size());
     for (const auto& [message, cb] : batch) frame.batch.push_back(message);
     self->send_frame(std::make_shared<const Frame>(std::move(frame)));
@@ -334,7 +248,7 @@ void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
                                on_sent = std::move(on_sent)] {
     auto frame = std::make_shared<const Frame>(Frame{
         FrameKind::kPublish, shared->destination, {}, self->ack_mode_, 0,
-        shared, -1, -1, self->local_});
+        shared, -1, -1, self->link_.local()});
     self->send_frame(std::move(frame));
     ++self->published_;
     if (on_sent) on_sent(self->host_.sim().now());
@@ -345,7 +259,7 @@ void NaradaClient::acknowledge() {
   host_.cpu().charge(costs::kClientAckCost);
   auto frame = std::make_shared<const Frame>(Frame{
       FrameKind::kClientAck, subscribed_topic_, {}, ack_mode_, 0, nullptr, -1,
-      -1, local_});
+      -1, link_.local()});
   send_frame(std::move(frame));
 }
 
@@ -356,20 +270,12 @@ void NaradaClient::on_frame(const net::Datagram& datagram) {
   const FramePtr& frame = *maybe;
 
   if (frame->kind == FrameKind::kDeliver && frame->topic == "$welcome") {
-    if (!ready_) {
-      ready_ = true;
-      const bool was_reconnect = reconnecting_;
-      reconnecting_ = false;
-      reconnect_attempt_ = 0;
-      notify_ready(true);
+    if (!link_.ready()) {
+      const bool was_reconnect = link_.established();
       // Re-establish broker-side state lost in the crash before flushing
       // anything the application published during the outage.
       if (was_reconnect && has_subscription_) resubscribe();
-      while (!backlog_.empty()) {
-        FramePtr queued = backlog_.front();
-        backlog_.pop_front();
-        send_frame(std::move(queued));
-      }
+      flush_backlog();
       // Close the disconnection gap: once resubscribed, ask the (possibly
       // new) broker to replay what we missed since our cursors.
       if (was_reconnect && replay_enabled_ && has_subscription_ &&
@@ -461,7 +367,7 @@ void NaradaClient::schedule_backfill() {
 
 void NaradaClient::request_backfill() {
   if (!replay_enabled_) return;
-  if (!ready_) {
+  if (!link_.ready()) {
     // The link dropped again while we were settling; the next welcome's
     // resubscribe path schedules a fresh round.
     backfill_pending_ = false;

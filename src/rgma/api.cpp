@@ -1,6 +1,7 @@
 #include "rgma/api.hpp"
 
 #include "cluster/costs.hpp"
+#include "net/client_link.hpp"
 #include "rgma/sql_parser.hpp"
 
 namespace gridmon::rgma {
@@ -81,12 +82,9 @@ void PrimaryProducer::schedule_redeclare() {
   if (redeclaring_) return;
   redeclaring_ = true;
   ++redeclares_;
-  SimTime delay = redeclare_backoff_;
-  for (int i = 0; i < redeclare_attempt_ && delay < redeclare_backoff_max_;
-       ++i) {
-    delay *= 2;
-  }
-  if (delay > redeclare_backoff_max_) delay = redeclare_backoff_max_;
+  // The clients' capped doubling, without jitter.
+  const auto delay = static_cast<SimTime>(net::capped_backoff(
+      redeclare_backoff_, redeclare_backoff_max_, redeclare_attempt_));
   ++redeclare_attempt_;
   host_.sim().schedule_after(delay, [this] {
     declare([this](bool ok) {

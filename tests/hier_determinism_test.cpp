@@ -45,8 +45,9 @@ Campaign hier_campaign(int jobs) {
 
 // Golden hash recorded from the jobs=1 run at the settings above. If a
 // code change moves it, every hier metric moved with it — rerecord only
-// when the shift is understood and intended.
-constexpr std::uint64_t kGoldenHierFamily = 12357158956727552299ULL;
+// when the shift is understood and intended. peak_model_bytes also pins
+// the client record sizes (sizeof(NaradaClient), sizeof(MqttClient)).
+constexpr std::uint64_t kGoldenHierFamily = 11978210526197896123ULL;
 
 TEST(HierDeterminism, TenKFamilyByteIdenticalAcrossJobs) {
   const Campaign serial = hier_campaign(1);

@@ -229,8 +229,7 @@ TEST_F(MqttFixture, PersistentSessionResumesWithoutResubscribe) {
                          {.client_id = "sub",
                           .clean_session = false,
                           .keep_alive = units::seconds(2)});
-  ReconnectPolicy policy;
-  policy.enabled = true;
+  net::ReconnectPolicy policy;
   policy.backoff_initial = units::milliseconds(500);
   sub->set_reconnect_policy(policy);
   auto pub = make_client(2, 9001, {.client_id = "pub"});
@@ -287,8 +286,7 @@ TEST_F(MqttFixture, OfflineQueueBoundedByRetentionPolicy) {
                          {.client_id = "sub",
                           .clean_session = false,
                           .keep_alive = units::seconds(2)});
-  ReconnectPolicy policy;
-  policy.enabled = true;
+  net::ReconnectPolicy policy;
   policy.backoff_initial = units::milliseconds(500);
   sub->set_reconnect_policy(policy);
   auto pub = make_client(2, 9001, {.client_id = "pub"});
@@ -334,8 +332,7 @@ TEST_F(MqttFixture, BrokerCrashLosesStateAndClientsRecover) {
   auto broker = start_broker();
   auto sub = make_client(1, 9000,
                          {.client_id = "sub", .clean_session = false});
-  ReconnectPolicy policy;
-  policy.enabled = true;
+  net::ReconnectPolicy policy;
   policy.backoff_initial = units::milliseconds(500);
   sub->set_reconnect_policy(policy);
 

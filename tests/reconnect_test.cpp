@@ -20,6 +20,7 @@
 #include "mqtt/client.hpp"
 #include "narada/client.hpp"
 #include "narada/dbn.hpp"
+#include "net/client_link.hpp"
 
 namespace gridmon {
 namespace {
@@ -109,6 +110,36 @@ void expect_gaps_within(const std::vector<SimTime>& seen, double jitter) {
   EXPECT_EQ(stretched, jitter > 0.0);
 }
 
+// The shared capped doubling matches both loops it replaced: the clients'
+// double arithmetic and the R-GMA producer's integer redeclare delay.
+TEST(CappedBackoff, MatchesTheClientAndRedeclareLoops) {
+  const SimTime initials[] = {0, 1, units::milliseconds(500),
+                              units::seconds(1), units::seconds(3),
+                              units::seconds(9)};
+  const SimTime maxima[] = {units::milliseconds(500), units::seconds(8),
+                            units::seconds(10)};
+  for (const SimTime initial : initials) {
+    for (const SimTime max : maxima) {
+      for (int doublings = 0; doublings < 40; ++doublings) {
+        double client = static_cast<double>(initial);
+        for (int i = 0; i < doublings; ++i) {
+          client *= 2.0;
+          if (client >= static_cast<double>(max)) break;
+        }
+        client = std::min(client, static_cast<double>(max));
+        SimTime redeclare = initial;
+        for (int i = 0; i < doublings && redeclare < max; ++i) redeclare *= 2;
+        if (redeclare > max) redeclare = max;
+
+        const double shared = net::capped_backoff(initial, max, doublings);
+        EXPECT_EQ(shared, client) << initial << " " << max << " " << doublings;
+        EXPECT_EQ(static_cast<SimTime>(shared), redeclare)
+            << initial << " " << max << " " << doublings;
+      }
+    }
+  }
+}
+
 struct NaradaReconnect : ::testing::Test {
   cluster::Hydra hydra{cluster::HydraConfig{.seed = 21}};
 
@@ -121,7 +152,7 @@ struct NaradaReconnect : ::testing::Test {
   }
 
   std::shared_ptr<narada::NaradaClient> make_client(
-      net::Endpoint broker, narada::ReconnectPolicy policy) {
+      net::Endpoint broker, net::ReconnectPolicy policy) {
     auto client = narada::NaradaClient::create(
         hydra.host(1), hydra.lan(), hydra.streams(), broker,
         net::Endpoint{1, 9000}, narada::TransportKind::kTcp);
@@ -133,16 +164,15 @@ struct NaradaReconnect : ::testing::Test {
   /// One broker, crashed at kCrashAt and restarted empty at kRestartAt.
   std::unique_ptr<narada::Dbn> crash_and_restart() {
     auto dbn = start_dbn({0});
-    hydra.sim().schedule_at(kCrashAt, [d = dbn.get()] { d->broker(0).crash(); });
-    hydra.sim().schedule_at(kRestartAt,
-                            [d = dbn.get()] { d->broker(0).restart(); });
+    narada::Broker& broker = dbn->broker(0);
+    hydra.sim().schedule_at(kCrashAt, [&broker] { broker.crash(); });
+    hydra.sim().schedule_at(kRestartAt, [&broker] { broker.restart(); });
     return dbn;
   }
 };
 
-narada::ReconnectPolicy narada_policy(double jitter) {
-  narada::ReconnectPolicy policy;
-  policy.enabled = true;
+net::ReconnectPolicy narada_policy(double jitter) {
+  net::ReconnectPolicy policy;
   policy.backoff_initial = units::milliseconds(500);
   policy.backoff_max = units::seconds(8);
   policy.jitter = jitter;
@@ -181,7 +211,7 @@ TEST_F(NaradaReconnect, JitterStretchesEachGapByAtMostItsShare) {
 
 TEST_F(NaradaReconnect, RehomesToTheFirstFallbackOnTheSecondAttempt) {
   auto dbn = start_dbn({0, 2, 3});
-  narada::ReconnectPolicy policy = narada_policy(0.0);
+  net::ReconnectPolicy policy = narada_policy(0.0);
   policy.fallbacks = {dbn->broker_endpoint(1), dbn->broker_endpoint(2)};
   auto client = make_client(dbn->broker_endpoint(0), std::move(policy));
   std::uint64_t accepted_before = 0;
@@ -206,7 +236,7 @@ TEST_F(NaradaReconnect, RehomesToTheFirstFallbackOnTheSecondAttempt) {
 
 TEST_F(NaradaReconnect, RehomingWalksTheFallbacksRoundRobin) {
   auto dbn = start_dbn({0, 2, 3});
-  narada::ReconnectPolicy policy = narada_policy(0.0);
+  net::ReconnectPolicy policy = narada_policy(0.0);
   policy.fallbacks = {dbn->broker_endpoint(1), dbn->broker_endpoint(2)};
   auto client = make_client(dbn->broker_endpoint(0), std::move(policy));
   std::uint64_t accepted_before = 0;
@@ -243,8 +273,7 @@ struct MqttReconnect : ::testing::Test {
                                            hydra.streams(), broker_ep,
                                            net::Endpoint{1, 9000},
                                            {.client_id = "gen-1"});
-    mqtt::ReconnectPolicy policy;
-    policy.enabled = true;
+    net::ReconnectPolicy policy;
     policy.backoff_initial = units::milliseconds(500);
     policy.backoff_max = units::seconds(8);
     policy.jitter = jitter;
